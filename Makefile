@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test chaos chaos-parallel perf robustness datafault obs elasticity store geo verify
+.PHONY: test chaos chaos-parallel perf robustness datafault obs elasticity store geo bench-selftest verify
 
 test:  ## tier-1: fast unit/integration/property tests
 	$(PYTHON) -m pytest -x -q
@@ -41,5 +41,8 @@ store:  ## serving-store chaos suite + exactly-once/latency gate
 geo:  ## geo chaos suite + edge-vs-cloud latency / failover gate
 	$(PYTHON) tools/check_geo.py
 
-verify: test perf obs chaos chaos-parallel robustness datafault elasticity store geo
+bench-selftest:  ## end-to-end benchmark self-test: metrics, gates, seeded faults
+	$(PYTHON) e2ebench/selftest.py
+
+verify: test perf obs chaos chaos-parallel robustness datafault elasticity store geo bench-selftest
 	@echo "verify: all gates passed"

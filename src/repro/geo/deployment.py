@@ -3,13 +3,13 @@
 One :class:`GeoDeployment` owns a parallel streaming job placed across
 regions, the cross-region log mirror feeding a standby cluster, and a
 :class:`~repro.geo.controller.RegionController` watching region health
-on the simnet topology.  It layers two geo-level recovery moves on top
-of the engine's existing checkpoint machinery:
+on the simnet topology.  It layers two geo-level moves on top of the
+:class:`~repro.streaming.supervisor.Supervisor`'s plan transform:
 
 **Session handoff** (:meth:`GeoDeployment.handoff`) — a user crossed a
-zone boundary, so their operators should follow: stop-with-savepoint
-(the autoscaler's rescale primitive), recompile the *same* job under a
-placement with the moved nodes re-pinned, restore.  Keyed state
+zone boundary, so their operators should follow: stop-with-savepoint,
+recompile the *same* job under a placement with the moved nodes
+re-pinned, restore — the move a rescale makes with widths.  Keyed state
 migrates through the ordinary key-group snapshot path; committed sink
 output is carried in the checkpoint, so the move is exactly-once.
 
@@ -32,18 +32,17 @@ from typing import Any, Callable
 
 from ..eventlog.broker import LogCluster
 from ..eventlog.mirror import ReplicatedTopic
-from ..streaming.coordinator import CheckpointCoordinator, CheckpointStore
+from ..streaming.coordinator import CheckpointStore
 from ..streaming.execution import ParallelCheckpoint, ParallelExecutor
 from ..streaming.placement import RegionPlacement
+from ..streaming.supervisor import FAILURES, CoordinatedReport, Supervisor
 from ..util.clock import SimClock
 from ..util.errors import (
     BrokerDown,
     ChaosError,
     CheckpointError,
-    CoordinatorDown,
     LogError,
     NetworkError,
-    OperatorCrash,
 )
 from .controller import RegionController
 
@@ -82,27 +81,13 @@ class FailoverReport:
 
 
 @dataclass
-class GeoReport:
+class GeoReport(CoordinatedReport):
     """Outcome of a supervised geo run."""
 
-    sink_values: dict[str, list[Any]]
     steps: int = 0
-    crashes: int = 0
-    coordinator_crashes: int = 0
-    broker_faults: int = 0
-    dead_detected: int = 0
-    full_restores: int = 0
-    replayed_total: int = 0
-    checkpoints: int = 0
-    aborted: int = 0
     mirror_pumped: int = 0
     handoffs: list[HandoffReport] = field(default_factory=list)
     failover: FailoverReport | None = None
-
-    @property
-    def failures(self) -> int:
-        return (self.crashes + self.coordinator_crashes
-                + self.broker_faults + self.dead_detected)
 
 
 class GeoDeployment:
@@ -111,7 +96,9 @@ class GeoDeployment:
     ``build_job`` is called with a :class:`LogCluster` and must return
     the job graph bound to that cluster's copy of ``topic`` — the same
     logical job compiles against primary and standby because the
-    replica is a strict prefix of the source.
+    replica is a strict prefix of the source.  Failure handling is the
+    :class:`~repro.streaming.supervisor.Supervisor`'s; handoff and
+    failover are its plan transform.
     """
 
     def __init__(self, build_job: Callable[[LogCluster], Any], *,
@@ -129,8 +116,6 @@ class GeoDeployment:
                  heartbeat_timeout_s: float = 60.0,
                  region_timeout_s: float = 5.0,
                  step_wall_s: float = 1.0,
-                 savepoint_max_cycles: int = 256,
-                 max_failures: int = 1000,
                  injector: Any = None,
                  topology: Any = None,
                  simulator: Any = None,
@@ -148,20 +133,13 @@ class GeoDeployment:
                               default_region=primary_region))
         self.parallelism = parallelism
         self.chaining = chaining
-        self.source_batch = source_batch
-        self.step_cycles = step_cycles
-        self.interval_cycles = interval_cycles
-        self.heartbeat_timeout_s = heartbeat_timeout_s
         self.step_wall_s = step_wall_s
-        self.savepoint_max_cycles = savepoint_max_cycles
-        self.max_failures = max_failures
         self.injector = injector
         self.topology = topology
         self.simulator = simulator
 
         self.clock = (simulator.clock if simulator is not None
                       else SimClock())
-        self.store = CheckpointStore(keep=4)
         self.mirror = ReplicatedTopic(primary_cluster, standby_cluster,
                                       topic,
                                       producer_id=mirror_producer_id)
@@ -172,14 +150,18 @@ class GeoDeployment:
 
         self.job = build_job(primary_cluster)
         self.active_region = primary_region
-        self.executor = self._build_executor(self.job, self.placement)
-        self.coordinator = self._build_coordinator()
-        self._initial = self.executor.checkpoint()
-        self._prior = {"finalized": 0, "aborted": 0}
         self.report = GeoReport(sink_values={})
+        self.supervisor = Supervisor(
+            self._build_executor(self.job, self.placement), self.report,
+            store=CheckpointStore(keep=4), clock=self.clock,
+            injector=injector, source_batch=source_batch,
+            step_cycles=step_cycles, interval_cycles=interval_cycles,
+            heartbeat_timeout_s=heartbeat_timeout_s)
         self.failed_over = False
 
-    # -- construction -------------------------------------------------------
+    @property
+    def executor(self) -> ParallelExecutor:
+        return self.supervisor.executor
 
     def _build_executor(self, job: Any,
                         placement: RegionPlacement) -> ParallelExecutor:
@@ -189,92 +171,6 @@ class GeoDeployment:
                                 transactional_sinks=True,
                                 placement=placement)
 
-    def _build_coordinator(self) -> CheckpointCoordinator:
-        return CheckpointCoordinator(
-            self.executor, store=self.store, clock=self.clock,
-            interval_cycles=self.interval_cycles,
-            heartbeat_timeout_s=self.heartbeat_timeout_s,
-            injector=self.injector)
-
-    # -- recovery plumbing (the run_coordinated pattern) ---------------------
-
-    def _check_budget(self) -> None:
-        if self.report.failures > self.max_failures:
-            raise ChaosError(
-                f"gave up after {self.report.failures} failures; the "
-                "fault plan appears to re-fire indefinitely")
-
-    def _full_equiv(self, checkpoint: ParallelCheckpoint) -> int:
-        total = 0
-        for source, splits in \
-                self.executor.source_positions_snapshot().items():
-            recorded = checkpoint.source_positions.get(source, {})
-            for split, pos in splits.items():
-                total += max(0, pos - recorded.get(split, 0))
-        return total
-
-    def _recover(self) -> None:
-        checkpoint = self.store.latest()
-        target = checkpoint if checkpoint is not None else self._initial
-        replayed = self._full_equiv(target)
-        while True:
-            try:
-                self.executor.restore(target)
-            except BrokerDown:
-                self.report.broker_faults += 1
-                self._check_budget()
-                continue
-            break
-        self.coordinator.monitor.reset_all()
-        self.report.full_restores += 1
-        self.report.replayed_total += replayed
-
-    def _rebuild_coordinator(self) -> None:
-        self.coordinator.abandon_pending()
-        self._prior["finalized"] += self.coordinator.finalized
-        self._prior["aborted"] += self.coordinator.aborted
-        listeners = list(self.coordinator.listeners)
-        self.coordinator = self._build_coordinator()
-        self.coordinator.listeners.extend(listeners)
-
-    def _adopt(self, replacement: ParallelExecutor,
-               placement: RegionPlacement) -> None:
-        """Swap in a rebuilt executor; listeners and the store carry
-        over so checkpoint ids stay monotonic across incarnations."""
-        self._prior["finalized"] += self.coordinator.finalized
-        self._prior["aborted"] += self.coordinator.aborted
-        listeners = list(self.coordinator.listeners)
-        self.executor = replacement
-        self.placement = placement
-        self.coordinator = self._build_coordinator()
-        self.coordinator.listeners.extend(listeners)
-
-    # -- savepoints ----------------------------------------------------------
-
-    def _drive_savepoint(self) -> ParallelCheckpoint:
-        """Stop-with-savepoint, verbatim semantics of the autoscaler's
-        rescale primitive: drain in-flight work, cut a checkpoint,
-        drain until it finalizes."""
-        budget = self.savepoint_max_cycles
-        while self.coordinator.in_progress is not None and budget > 0:
-            self.executor.drain_for_coordinator()
-            self.coordinator.on_cycle_end(self.executor)
-            budget -= 1
-        if self.coordinator.in_progress is not None:
-            raise CheckpointError(
-                "savepoint blocked: a prior checkpoint never finalized")
-        cid = self.coordinator.trigger(self.executor)
-        while self.coordinator.in_progress is not None and budget > 0:
-            self.executor.drain_for_coordinator()
-            self.coordinator.on_cycle_end(self.executor)
-            budget -= 1
-        savepoint = self.store.latest()
-        if savepoint is None or savepoint.checkpoint_id != cid:
-            raise CheckpointError(
-                f"stop-with-savepoint {cid} did not finalize within "
-                f"{self.savepoint_max_cycles} drain cycles")
-        return savepoint
-
     # -- session handoff -----------------------------------------------------
 
     def handoff(self, nodes: Any, to_region: str) -> HandoffReport:
@@ -282,45 +178,25 @@ class GeoDeployment:
         ``to_region`` with exactly-once semantics.  Retries from the
         last finalized checkpoint if chaos kills the move mid-flight."""
         names = tuple(nodes)
+        placement = self.placement
+        for name in names:
+            placement = placement.moved(name, to_region)
         attempts = 0
         while True:
             attempts += 1
             try:
-                report = self._do_handoff(names, to_region, attempts)
-            except OperatorCrash:
-                self.report.crashes += 1
-                self._check_budget()
-                self._recover()
-                continue
-            except CoordinatorDown:
-                self.report.coordinator_crashes += 1
-                self._check_budget()
-                self._rebuild_coordinator()
+                savepoint, replayed = self.supervisor.transform(
+                    lambda: self._build_executor(self.job, placement))
+            except FAILURES as exc:
+                self.supervisor.handle(exc)
                 continue
             break
+        self.placement = placement
+        report = HandoffReport(savepoint_id=savepoint.checkpoint_id,
+                               nodes=names, to_region=to_region,
+                               replayed=replayed, attempts=attempts)
         self.report.handoffs.append(report)
         return report
-
-    def _do_handoff(self, names: tuple[str, ...], to_region: str,
-                    attempts: int) -> HandoffReport:
-        savepoint = self._drive_savepoint()
-        placement = self.placement
-        for name in names:
-            placement = placement.moved(name, to_region)
-        replacement = self._build_executor(self.job, placement)
-        while True:
-            try:
-                stats = replacement.restore(savepoint)
-            except BrokerDown:
-                self.report.broker_faults += 1
-                self._check_budget()
-                continue
-            break
-        self._adopt(replacement, placement)
-        return HandoffReport(savepoint_id=savepoint.checkpoint_id,
-                             nodes=names, to_region=to_region,
-                             replayed=stats["replayed_elements"],
-                             attempts=attempts)
 
     # -- region failover -----------------------------------------------------
 
@@ -330,11 +206,12 @@ class GeoDeployment:
         map one-to-one onto partitions (the parallel_log_source
         default), and mirrored sequence numbers are replica offsets, so
         coverage is a plain per-partition comparison."""
+        store = self.supervisor.store
         ends = {p: self.standby_cluster.end_offset(self.topic, p)
                 for p in range(
                     self.standby_cluster.partition_count(self.topic))}
-        for cid in sorted(self.store.retained_ids(), reverse=True):
-            snapshot = self.store.snapshot(cid)
+        for cid in sorted(store.retained_ids(), reverse=True):
+            snapshot = store.snapshot(cid)
             if snapshot is None:
                 continue
             covered = all(
@@ -362,28 +239,20 @@ class GeoDeployment:
         placement = self.placement.moved_all(
             self.standby_region,
             list(job.sources) + list(job.operators) + list(job.sinks))
-        replacement = self._build_executor(job, placement)
         full_equiv = sum(
             self.standby_cluster.end_offset(self.topic, p)
             for p in range(
                 self.standby_cluster.partition_count(self.topic)))
-        if target is not None:
-            while True:
-                try:
-                    stats = replacement.restore(target)
-                except BrokerDown:
-                    self.report.broker_faults += 1
-                    self._check_budget()
-                    continue
-                break
-            replayed = stats["replayed_elements"]
-        else:
-            replayed = full_equiv  # cold start: replay everything
-        self._adopt(replacement, placement)
+        replayed = self.supervisor.adopt(
+            self._build_executor(job, placement), target)
+        if target is None:
+            # cold start: the standby replays everything
+            replayed = full_equiv
+            self.report.replayed_total += replayed
+        self.placement = placement
         self.job = job
         self.active_region = self.standby_region
         self.failed_over = True
-        self.report.replayed_total += replayed
         report = FailoverReport(
             lost_region=lost, to_region=self.standby_region,
             checkpoint_id=(target.checkpoint_id
@@ -401,9 +270,8 @@ class GeoDeployment:
             return  # fenced; the replica is now the source of truth
         try:
             self.report.mirror_pumped += self.mirror.pump()
-        except (BrokerDown, LogError, NetworkError):
-            self.report.broker_faults += 1
-            self._check_budget()
+        except (LogError, NetworkError) as exc:
+            self.supervisor.record_failure("broker", exc)
 
     def _observe_regions(self) -> None:
         if self.topology is not None:
@@ -427,35 +295,8 @@ class GeoDeployment:
         if (not self.failed_over
                 and self.active_region in self.controller.lost()):
             self.failover()
-        try:
-            self.executor.run(source_batch=self.source_batch,
-                              max_cycles=self.step_cycles)
-            if self.executor.done:
-                self.coordinator.final_checkpoint(self.executor)
-                return False
-        except OperatorCrash:
-            self.report.crashes += 1
-            self._check_budget()
-            self._recover()
-            self._pump_mirror()
-            return True
-        except CoordinatorDown:
-            self.report.coordinator_crashes += 1
-            self._check_budget()
-            self._rebuild_coordinator()
-            self._pump_mirror()
-            return True
-        except BrokerDown:
-            self.report.broker_faults += 1
-            self._check_budget()
-            self._recover()
-            self._pump_mirror()
-            return True
-        dead = self.coordinator.dead_subtasks()
-        if dead:
-            self.report.dead_detected += 1
-            self._check_budget()
-            self._recover()
+        if not self.supervisor.step():
+            return False
         self._pump_mirror()
         return True
 
@@ -474,11 +315,5 @@ class GeoDeployment:
         else:
             raise ChaosError(
                 f"job did not finish within {max_steps} steps")
-        self.report.checkpoints = (self._prior["finalized"]
-                                   + self.coordinator.finalized)
-        self.report.aborted = (self._prior["aborted"]
-                               + self.coordinator.aborted)
-        self.report.sink_values = {
-            name: list(sink.values)
-            for name, sink in self.executor.sinks.items()}
+        self.supervisor.finish()
         return self.report

@@ -7,9 +7,9 @@ facade carries the query surface of both: ``latest``/``point`` for
 overlay binding, ``group_by``/``tumbling``/``filter`` for dashboards.
 
 :func:`serve_topic` is the standard wiring: build a coordinated job
-over an event-log topic, run it under the chaos harness's supervisor,
-and return the store fed exactly-once through a
-:class:`~repro.store.sink.StoreSink`.
+over an event-log topic, run it under the streaming
+:class:`~repro.streaming.supervisor.Supervisor`, and return the store
+fed exactly-once through a :class:`~repro.store.sink.StoreSink`.
 """
 
 from __future__ import annotations
@@ -133,11 +133,10 @@ def serve_topic(cluster: Any, topic: str, *,
     run is chaos-ready: pass an ``injector`` and the store still comes
     out bit-identical to the fault-free run.
     """
-    from ..chaos.harness import run_coordinated
-    from ..chaos.injector import FaultInjector
-    from ..chaos.plan import FaultPlan
     from ..streaming.connectors import log_source
+    from ..streaming.execution import ParallelExecutor
     from ..streaming.graph import JobBuilder
+    from ..streaming.supervisor import Supervisor
     from .sink import StoreSink
 
     if store is None:
@@ -149,15 +148,14 @@ def serve_topic(cluster: Any, topic: str, *,
     if key_fn is not None:
         stream = stream.key_by(key_fn)
     stream.sink("store")
-    if injector is None:
-        injector = FaultInjector(FaultPlan(specs=()))
     sink = StoreSink(store, sink_name="store", injector=injector)
-    report = run_coordinated(builder.build(), injector,
-                             parallelism=parallelism,
-                             source_batch=source_batch,
-                             interval_cycles=interval_cycles,
-                             on_coordinator=sink.attach)
-    return store, report
+    executor = ParallelExecutor(builder.build(), parallelism,
+                                injector=injector, transactional_sinks=True)
+    supervisor = Supervisor(executor, injector=injector,
+                            source_batch=source_batch,
+                            interval_cycles=interval_cycles)
+    sink.attach(supervisor.coordinator)
+    return store, supervisor.run()
 
 
 def canonical_contents(store: TieredStore) -> list[tuple]:

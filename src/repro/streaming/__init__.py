@@ -67,6 +67,7 @@ from .shuffle import (
     subtask_for_key_group,
 )
 from .state import KeyedState
+from .supervisor import Supervisor
 from .txn_sink import TransactionalLogSink, TransactionalSink
 from .window_operator import (
     LateRecord,
@@ -110,6 +111,7 @@ __all__ = [
     "HeartbeatMonitor",
     "failover_regions",
     "failover_region_of",
+    "Supervisor",
     "TransactionalSink",
     "TransactionalLogSink",
     "ErrorPolicy",

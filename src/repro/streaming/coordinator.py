@@ -60,6 +60,9 @@ __all__ = [
     "failover_region_of",
 ]
 
+#: drain cycles a savepoint may take before it is declared stuck
+SAVEPOINT_MAX_CYCLES = 256
+
 PENDING = "pending"
 FINALIZED = "finalized"
 ABORTED = "aborted"
@@ -466,15 +469,6 @@ class CheckpointCoordinator:
         self.clock.advance(self.cycle_seconds)
         self.maybe_finalize()
 
-    @property
-    def in_progress(self) -> int | None:
-        """Checkpoint id currently being assembled, or None.  The
-        scaling supervisor waits this out before cutting a savepoint
-        (one checkpoint in progress at a time is a coordinator
-        invariant)."""
-        return (self._pending.checkpoint_id
-                if self._pending is not None else None)
-
     def heartbeat(self, subtask: str) -> None:
         self.monitor.beat(subtask)
 
@@ -696,7 +690,36 @@ class CheckpointCoordinator:
         self.abandon_pending()
         self._cycles_since_trigger = 0
 
-    # -- completion ----------------------------------------------------------
+    # -- savepoints and completion -------------------------------------------
+
+    def _drive_savepoint(self, executor: Any, budget: int) -> int:
+        """Drive drain cycles (no source pull) until the in-progress
+        checkpoint finalizes or ``budget`` cycles are spent; returns the
+        cycles left."""
+        while self._pending is not None and budget > 0:
+            executor.drain_for_coordinator()
+            self.on_cycle_end(executor)
+            budget -= 1
+        return budget
+
+    def savepoint(self) -> ParallelCheckpoint:
+        """Stop-with-savepoint: finish any checkpoint already being
+        assembled, then cut a fresh one and drain until it finalizes.
+        The job does not stop — drain cycles move in-flight data and
+        barriers without pulling new source input, exactly like
+        :meth:`final_checkpoint` but mid-job."""
+        budget = self._drive_savepoint(self.executor, SAVEPOINT_MAX_CYCLES)
+        if self._pending is not None:
+            raise CheckpointError(
+                "savepoint blocked: a prior checkpoint never finalized")
+        cid = self.trigger(self.executor)
+        self._drive_savepoint(self.executor, budget)
+        savepoint = self.store.latest()
+        if savepoint is None or savepoint.checkpoint_id != cid:
+            raise CheckpointError(
+                f"stop-with-savepoint {cid} did not finalize within "
+                f"{SAVEPOINT_MAX_CYCLES} drain cycles")
+        return savepoint
 
     def final_checkpoint(self, executor: Any | None = None,
                          max_cycles: int = 64) -> ParallelCheckpoint:
@@ -706,11 +729,7 @@ class CheckpointCoordinator:
         executor = executor if executor is not None else self.executor
         if self._pending is None:
             self.trigger(executor)
-        for _ in range(max_cycles):
-            if self._pending is None:
-                break
-            executor.drain_for_coordinator()
-            self.on_cycle_end(executor)
+        self._drive_savepoint(executor, max_cycles)
         if self._pending is not None:
             raise CheckpointError(
                 "final checkpoint did not complete: barriers are stuck "

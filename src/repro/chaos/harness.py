@@ -60,11 +60,13 @@ class RecoveryReport:
 def run_with_recovery(job: JobGraph, injector: FaultInjector | None = None,
                       *, batch_mode: bool = True, chaining: bool = True,
                       parallelism: int | dict[str, int] | None = None,
-                      source_batch: int = 64, checkpoint_every: int = 1,
-                      tracer: Any = None,
+                      source_batch: int = 64, tracer: Any = None,
                       metrics: Any = None, profiler: Any = None,
                       restart_budget: Any = None) -> RecoveryReport:
     """Run ``job`` to completion, checkpointing and restoring on faults.
+
+    The job steps one drain cycle at a time with an aligned checkpoint
+    after each, so a restore replays at most one cycle of input.
 
     Catches :class:`OperatorCrash` (injected or organic operator death)
     and :class:`BrokerDown` (log-backed source hitting an unavailable
@@ -156,8 +158,7 @@ def run_with_recovery(job: JobGraph, injector: FaultInjector | None = None,
         report.checkpoints += 1
         while True:
             try:
-                executor.run(source_batch=source_batch,
-                             max_cycles=checkpoint_every)
+                executor.run(source_batch=source_batch, max_cycles=1)
             except OperatorCrash as exc:
                 report.crashes += 1
                 _fault("crash")

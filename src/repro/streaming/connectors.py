@@ -86,7 +86,6 @@ def parallel_log_source(cluster: LogCluster, topic: str,
                         *, splits: int | None = None,
                         group_id: str | None = None,
                         time_ordered: bool = True, tracer: Any = None,
-                        columnar: bool = False,
                         ) -> tuple[Callable[[int, int], Iterable[Element]],
                                    int]:
     """A split-aware source over ``topic``, fanned out via a consumer
@@ -143,13 +142,8 @@ def parallel_log_source(cluster: LogCluster, topic: str,
         if span is not None:
             span.set_attr("records", len(rows))
             span.end()
-        run = [Element(value=row.value, timestamp=row.timestamp,
-                       key=row.key) for row in rows]
-        if columnar and run:
-            # One batch per split; the parallel executor normalizes to
-            # its canonical per-element split buffer either way.
-            return [RecordBatch.from_elements(run)]
-        return run
+        return [Element(value=row.value, timestamp=row.timestamp,
+                        key=row.key) for row in rows]
 
     return split_factory, num_splits
 

@@ -17,7 +17,9 @@ when an operator fails *on a record*:
 Policies are declared per *logical* operator on the
 :class:`~repro.streaming.graph.JobBuilder` and enforced by both
 executors and by :class:`~repro.streaming.chain.ChainedOperator` for
-fused members, through the two guards here:
+fused members, through the two guards here (:func:`batch_process` and
+:func:`item_process` build the callables both executors drain
+through):
 
 - :func:`guard_batch` wraps a batch kernel.  The hot path is a bare
   ``try``: a clean batch pays nothing.  Injected data faults (known
@@ -72,9 +74,11 @@ __all__ = [
     "DeadLetter",
     "ErrorPolicy",
     "RestartBudget",
+    "batch_process",
     "dead_letter_element",
     "guard_batch",
     "guard_item",
+    "item_process",
 ]
 
 #: Reserved name of the dead-letter sink an executor adds when any
@@ -399,6 +403,68 @@ def guard_batch(op: Any, items: list[StreamItem], policy: ErrorPolicy,
                 out.extend(guard_item(op, item, policy, dead_letters,
                                       None, handler))
         return out
+
+
+def _side_handler(op: Any, side: str) -> Callable[[StreamItem],
+                                                  list[StreamItem]]:
+    """Per-item handler for one input side of a join."""
+    def handler(item: StreamItem) -> list[StreamItem]:
+        if isinstance(item, Watermark):
+            return op.on_watermark_side(side, item)
+        return op.process_side(side, item)
+    return handler
+
+
+def batch_process(op: Any, side: str | None, policy: ErrorPolicy | None,
+                  dead_letters: list[Element],
+                  fault_source: Callable[[Any, Any], dict | None] | None,
+                  ) -> Callable[[list[StreamItem]], list[StreamItem]]:
+    """The batch callable an executor runs ``op`` through.
+
+    ``side`` names one input of a join (``None`` for single-input
+    operators).  Without a ``policy`` this is the bare batch kernel;
+    with one, every batch runs under :func:`guard_batch`, taking its
+    injected data faults from ``fault_source(op, batch)`` when chaos
+    poisons records.
+    """
+    if side is None:
+        kernel = op.process_batch
+        handler = None
+    else:
+        def kernel(items: list[StreamItem]) -> list[StreamItem]:
+            return op.process_side_batch(side, items)
+        handler = _side_handler(op, side)
+    if policy is None:
+        return kernel
+
+    def process(batch: list[StreamItem]) -> list[StreamItem]:
+        faults = (fault_source(op, batch) if fault_source is not None
+                  else None)
+        return guard_batch(op, batch, policy, kernel, dead_letters, faults,
+                           handler=handler)
+    return process
+
+
+def item_process(op: Any, side: str | None, policy: ErrorPolicy | None,
+                 dead_letters: list[Element],
+                 fault_source: Callable[[Any, Any], dict | None] | None,
+                 ) -> Callable[[StreamItem], list[StreamItem]]:
+    """Per-item twin of :func:`batch_process`: ``op.handle`` (or the
+    join side's handler), under :func:`guard_item` when ``policy`` is
+    set."""
+    handler = None if side is None else _side_handler(op, side)
+    if policy is None:
+        return op.handle if handler is None else handler
+
+    def process(item: StreamItem) -> list[StreamItem]:
+        fault = None
+        if fault_source is not None:
+            faults = fault_source(op, (item,))
+            if faults:
+                fault = faults.get(0)
+        return guard_item(op, item, policy, dead_letters, fault,
+                          handler=handler)
+    return process
 
 
 # -- bounded restarts --------------------------------------------------------

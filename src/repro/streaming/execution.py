@@ -60,28 +60,18 @@ from typing import Any, Iterable
 
 import numpy as np
 
-from ..util.errors import (
-    BackpressureOverflow,
-    CheckpointError,
-    JobGraphError,
-)
+from ..util.errors import CheckpointError, JobGraphError
 from ..util.ids import split_ranges
 from .barrier import BLOCKED, COMPLETE, IGNORED, STRAGGLER, BarrierAligner
-from .batch import (
-    RecordBatch,
-    decode_items,
-    elements_of,
-    item_weight,
-    items_weight,
-    take_prefix,
-)
+from .batch import (RecordBatch, decode_items, elements_of, item_weight,
+                    items_weight)
 from .chain import ChainedOperator
 from .element import CheckpointBarrier, Element, StreamItem, Watermark
-from .errors import DLQ_SINK, FAIL, ErrorPolicy, guard_batch, guard_item
+from .errors import DLQ_SINK, FAIL, ErrorPolicy, batch_process, item_process
 from .graph import JobGraph
 from .join import IntervalJoinOperator
 from .operators import Operator
-from .runtime import SinkBuffer, build_chains
+from .runtime import SinkBuffer, build_chains, offer_batch
 from .txn_sink import TransactionalSink
 from .shuffle import (
     DEFAULT_KEY_GROUPS,
@@ -369,7 +359,6 @@ class ParallelExecutor:
                  *, num_key_groups: int = DEFAULT_KEY_GROUPS,
                  channel_capacity: int = 10_000,
                  drop_on_overflow: bool = False, batch_mode: bool = True,
-                 columnar: bool | None = None,
                  chaining: bool = True, injector: Any = None,
                  tracer: Any = None, metrics: Any = None,
                  profiler: Any = None,
@@ -385,11 +374,6 @@ class ParallelExecutor:
         self.channel_capacity = channel_capacity
         self.drop_on_overflow = drop_on_overflow
         self.batch_mode = batch_mode
-        #: columnar hot path: sources encode splits as RecordBatches and
-        #: shuffles/merges stay vectorized; defaults on in batch mode and
-        #: is bit-identical to the per-element representation.
-        self.columnar = batch_mode and (columnar if columnar is not None
-                                        else True)
         self.injector = injector
         self.tracer = tracer
         self.metrics = metrics
@@ -563,6 +547,8 @@ class ParallelExecutor:
         self._data_chaos = (self.injector is not None
                             and getattr(self.injector, "has_data_faults",
                                         False))
+        self._fault_source = (self.injector.data_directives
+                              if self._data_chaos else None)
         self._dead_letters: list[Element] = []
         self._guard: dict[str, ErrorPolicy] = {}
         dlq_nodes: list[str] = []
@@ -597,31 +583,6 @@ class ParallelExecutor:
                 self.sinks[DLQ_SINK] = TransactionalSink(DLQ_SINK, feeders)
             else:
                 self.sinks[DLQ_SINK] = SinkBuffer(DLQ_SINK)
-
-    def _guarded_process(self, op, policy):
-        """A ``process_batch`` replacement enforcing ``policy`` (and any
-        injected data faults) on every batch through ``op``."""
-        def process(batch):
-            faults = (self.injector.data_directives(op, batch)
-                      if self._data_chaos else None)
-            return guard_batch(op, batch, policy, op.process_batch,
-                               self._dead_letters, faults)
-        return process
-
-    def _guarded_side_process(self, op, policy, side):
-        """Like :meth:`_guarded_process` for one side of a join."""
-        handler = lambda it, _s=side: (  # noqa: E731
-            op.on_watermark_side(_s, it) if isinstance(it, Watermark)
-            else op.process_side(_s, it))
-
-        def process(batch):
-            faults = (self.injector.data_directives(op, batch)
-                      if self._data_chaos else None)
-            return guard_batch(
-                op, batch, policy,
-                lambda items, _s=side: op.process_side_batch(_s, items),
-                self._dead_letters, faults, handler=handler)
-        return process
 
     def _emit_dead_letters(self, name: str, idx: int) -> None:
         """Route dead letters collected while subtask (name, idx) was
@@ -753,7 +714,7 @@ class ParallelExecutor:
         positions = self._split_positions.setdefault(name, {})
         for s in range(n_splits):
             positions.setdefault(s, 0)
-        if self.columnar:
+        if self.batch_mode:
             self._columnarize_source(name, buffers)
         return buffers
 
@@ -780,7 +741,7 @@ class ParallelExecutor:
 
     def _pull_sources(self, batch: int) -> int:
         pulled = 0
-        columnar = self.columnar
+        batch_mode = self.batch_mode
         for name in sorted(self.job.sources):
             buffers = self._materialize_source(name)
             positions = self._split_positions[name]
@@ -790,7 +751,7 @@ class ParallelExecutor:
                 started = time.perf_counter()
                 taken = (self._take_merged_columnar(name, idx, splits,
                                                     batch)
-                         if columnar else None)
+                         if batch_mode else None)
                 if taken is None:
                     taken = self._take_merged(buffers, positions, finished,
                                               splits, batch)
@@ -1072,53 +1033,16 @@ class ParallelExecutor:
 
     def _offer(self, key: tuple[str, int, str | None],
                sender: tuple[str, int], items: list[StreamItem]) -> None:
-        """Batch offer with per-item backpressure/drop accounting —
-        the same arithmetic as the single-instance executor's
-        ``_offer_batch``, per physical channel."""
+        """Batch offer onto one physical channel, after any injected
+        network faults: :func:`~repro.streaming.runtime.offer_batch`'s
+        per-item backpressure/drop accounting."""
         injector = self.injector
         if injector is not None and getattr(injector, "has_channel_faults",
                                             False):
             items = self._apply_channel_faults(key, sender, items)
             if not items:
                 return
-        channel = self._channels[key][sender]
-        columnar = self.columnar
-        occupancy = items_weight(channel) if columnar else len(channel)
-        n = items_weight(items) if columnar else len(items)
-        capacity = self.channel_capacity
-        node = key[0]
-        if occupancy + n <= capacity:
-            channel.extend(items)
-            return
-        if self.drop_on_overflow:
-            room = max(0, capacity - occupancy)
-            if room:
-                channel.extend(take_prefix(items, room) if columnar
-                               else items[:room])
-            self.dropped_overflow += n - room
-            if self.metrics is not None:
-                self.metrics.counter("channel.dropped",
-                                     node=node).inc(n - room)
-            return
-        if occupancy + n > capacity * 10:
-            i0 = capacity * 10 - occupancy
-            channel.extend(decode_items(take_prefix(items, i0))
-                           if columnar else items[:i0])
-            events = (i0 + 1) - max(0, min(i0 + 1, capacity - occupancy))
-            self.backpressure_events += events
-            if self.metrics is not None:
-                self.metrics.counter("channel.backpressure",
-                                     node=node).inc(events)
-            raise BackpressureOverflow(
-                f"channel into {node!r} exceeded 10x capacity; "
-                "the job cannot keep up and dropping is disabled"
-            )
-        events = n - max(0, min(n, capacity - occupancy))
-        self.backpressure_events += events
-        if self.metrics is not None and events:
-            self.metrics.counter("channel.backpressure",
-                                 node=node).inc(events)
-        channel.extend(items)
+        offer_batch(self, self._channels[key][sender], key[0], items)
 
     def _apply_channel_faults(self, key: tuple[str, int, str | None],
                               sender: tuple[str, int],
@@ -1393,53 +1317,25 @@ class ParallelExecutor:
                  items: list[StreamItem]) -> None:
         op = self._ops[name][idx]
         injector = self.injector
-        join = isinstance(op, IntervalJoinOperator)
         guard = self._guard.get(name)
         if self.batch_mode:
-            if join:
-                if self.columnar:
-                    items = decode_items(items)
-                if guard is None:
-                    process = (lambda batch, _s=side:
-                               op.process_side_batch(_s, batch))
-                else:
-                    process = self._guarded_side_process(op, guard, side)
-            elif guard is None:
-                process = op.process_batch
-            else:
-                process = self._guarded_process(op, guard)
+            if side is not None:
+                # Joins have no columnar kernel: decode at the channel.
+                items = decode_items(items)
+            process = batch_process(op, side, guard, self._dead_letters,
+                                    self._fault_source)
             if injector is None:
                 out = process(items)
             else:
                 out = injector.intercept_batch(op, items, process)
             self._emit(name, idx, out)
-            if self._dead_letters:
-                self._emit_dead_letters(name, idx)
-            return
-        for item in items:
-            if injector is not None:
-                injector.before_item(op)
-            if join:
-                if isinstance(item, Watermark):
-                    handler = (lambda it, _s=side:
-                               op.on_watermark_side(_s, it))
-                else:
-                    handler = (lambda it, _s=side:
-                               op.process_side(_s, it))
-            else:
-                handler = None
-            if guard is None:
-                out = (handler(item) if handler is not None
-                       else op.handle(item))
-            else:
-                fault = None
-                if self._data_chaos:
-                    faults = injector.data_directives(op, (item,))
-                    if faults:
-                        fault = faults.get(0)
-                out = guard_item(op, item, guard, self._dead_letters,
-                                 fault, handler=handler)
-            self._emit(name, idx, out)
+        else:
+            process = item_process(op, side, guard, self._dead_letters,
+                                   self._fault_source)
+            for item in items:
+                if injector is not None:
+                    injector.before_item(op)
+                self._emit(name, idx, process(item))
         if self._dead_letters:
             self._emit_dead_letters(name, idx)
 
@@ -1470,8 +1366,7 @@ class ParallelExecutor:
                         if not pending:
                             continue
                         chans[sender] = deque()
-                        drained += (items_weight(pending) if self.columnar
-                                    else len(pending))
+                        drained += items_weight(pending)
                         items = self._align((name, idx, side), sender,
                                             pending)
                         if items:

@@ -12,7 +12,10 @@ Two execution modes share one semantics:
   :meth:`Operator.process_batch` and are routed downstream in one call;
   linear runs of chainable operators are fused into a single
   :class:`~repro.streaming.chain.ChainedOperator` node at build time
-  (``chaining=True``), eliminating per-hop channel traffic.
+  (``chaining=True``), eliminating per-hop channel traffic.  Sources
+  encode element runs as :class:`RecordBatch` columns wherever the
+  buffer allows; markers and items without an encoding ride between
+  them as loose items in the same channels.
 - **per-item** (``batch_mode=False``): the original element-at-a-time
   dispatch, kept as the measured baseline and as the semantic reference
   — batched execution is bit-identical to it (same sink contents, same
@@ -46,13 +49,14 @@ from ..util.errors import BackpressureOverflow, CheckpointError
 from .batch import (ColumnarStream, RecordBatch, decode_items, elements_of,
                     items_weight, take_prefix)
 from .chain import ChainedOperator
-from .element import Element, StreamItem, Watermark
-from .errors import DLQ_SINK, FAIL, ErrorPolicy, guard_batch, guard_item
+from .element import Element, StreamItem
+from .errors import DLQ_SINK, FAIL, ErrorPolicy, batch_process, item_process
 from .graph import JobGraph
 from .join import IntervalJoinOperator
 from .operators import Operator
 
-__all__ = ["Executor", "Checkpoint", "SinkBuffer", "build_chains"]
+__all__ = ["Executor", "Checkpoint", "SinkBuffer", "build_chains",
+           "offer_batch"]
 
 
 @dataclass
@@ -82,6 +86,58 @@ class SinkBuffer:
 
     def __len__(self) -> int:
         return len(self.elements)
+
+
+def offer_batch(executor: Any, channel: deque, node: str,
+                items: list[StreamItem]) -> None:
+    """Append ``items`` to one of ``executor``'s bounded channels with
+    per-item backpressure/drop accounting, computed arithmetically in
+    O(1) — the one batch offer both executors use.
+
+    Items count element-weighted (a RecordBatch is as many items as it
+    has rows), so backpressure and drop decisions are
+    representation-blind.  The partial-extend paths (drop, raise) split
+    batches at the exact element boundary; the raise path also decodes,
+    so stalled channel *contents* match per-item execution.  Counters
+    land on ``executor.backpressure_events`` / ``dropped_overflow`` and,
+    with metrics on, the ``channel.*`` counters of ``node``.
+    """
+    occupancy = items_weight(channel)
+    n = items_weight(items)
+    capacity = executor.channel_capacity
+    if occupancy + n <= capacity:
+        channel.extend(items)
+        return
+    metrics = executor.metrics
+    if executor.drop_on_overflow:
+        room = max(0, capacity - occupancy)
+        if room:
+            channel.extend(take_prefix(items, room))
+        executor.dropped_overflow += n - room
+        if metrics is not None:
+            metrics.counter("channel.dropped", node=node).inc(n - room)
+        return
+    if occupancy + n > capacity * 10:
+        # Mirror per-item semantics exactly: ``Executor._offer`` appends
+        # until the channel reaches 10x capacity and raises on the item
+        # that finds it full, so ``i0`` items land and ``i0 + 1`` appends
+        # observed a channel at or over capacity.
+        i0 = capacity * 10 - occupancy
+        channel.extend(decode_items(take_prefix(items, i0)))
+        events = (i0 + 1) - max(0, min(i0 + 1, capacity - occupancy))
+        executor.backpressure_events += events
+        if metrics is not None:
+            metrics.counter("channel.backpressure", node=node).inc(events)
+        raise BackpressureOverflow(
+            f"channel into {node!r} exceeded 10x capacity; "
+            "the job cannot keep up and dropping is disabled"
+        )
+    # Every append observed at >= capacity is one backpressure event.
+    events = n - max(0, min(n, capacity - occupancy))
+    executor.backpressure_events += events
+    if metrics is not None and events:
+        metrics.counter("channel.backpressure", node=node).inc(events)
+    channel.extend(items)
 
 
 def build_chains(job: JobGraph,
@@ -130,8 +186,7 @@ class Executor:
 
     def __init__(self, job: JobGraph, channel_capacity: int = 10_000,
                  drop_on_overflow: bool = False, batch_mode: bool = True,
-                 chaining: bool = True, columnar: bool | None = None,
-                 injector: Any = None,
+                 chaining: bool = True, injector: Any = None,
                  tracer: Any = None, metrics: Any = None,
                  profiler: Any = None) -> None:
         job.validate()
@@ -140,14 +195,6 @@ class Executor:
         self.drop_on_overflow = drop_on_overflow
         self.batch_mode = batch_mode
         self.chaining = chaining and batch_mode
-        #: Columnar hot path: sources encode element runs as
-        #: :class:`RecordBatch` columns and operators with columnar
-        #: kernels consume them whole.  Pure representation change —
-        #: sink output and checkpoints are identical; defaults on with
-        #: batch_mode, ``columnar=False`` forces the list-of-Element
-        #: batches (the PR-5-era baseline).
-        self.columnar = batch_mode and (columnar if columnar is not None
-                                        else True)
         #: optional fault injector (see :mod:`repro.chaos`) — duck-typed
         #: so the streaming layer never imports chaos: anything with
         #: ``intercept_batch(op, items, process)`` and ``before_item(op)``
@@ -254,6 +301,8 @@ class Executor:
         self._data_chaos = (self.injector is not None
                             and getattr(self.injector,
                                         "has_data_faults", False))
+        self._fault_source = (self.injector.data_directives
+                              if self._data_chaos else None)
         self._dead_letters: list[Element] = []
         self._guard: dict[str, ErrorPolicy] = {}
         for name, op in self._exec_ops.items():
@@ -278,31 +327,6 @@ class Executor:
         self.sinks[DLQ_SINK].elements.extend(self._dead_letters)
         self._dead_letters.clear()
 
-    def _guarded_process(self, op, policy):
-        """A ``process_batch`` replacement enforcing ``policy`` (and any
-        injected data faults) on every batch through ``op``."""
-        def process(batch):
-            faults = (self.injector.data_directives(op, batch)
-                      if self._data_chaos else None)
-            return guard_batch(op, batch, policy, op.process_batch,
-                               self._dead_letters, faults)
-        return process
-
-    def _guarded_side_process(self, op, policy, side):
-        """Like :meth:`_guarded_process` for one side of a join."""
-        handler = lambda it, _s=side: (  # noqa: E731
-            op.on_watermark_side(_s, it) if isinstance(it, Watermark)
-            else op.process_side(_s, it))
-
-        def process(batch):
-            faults = (self.injector.data_directives(op, batch)
-                      if self._data_chaos else None)
-            return guard_batch(
-                op, batch, policy,
-                lambda items, _s=side: op.process_side_batch(_s, items),
-                self._dead_letters, faults, handler=handler)
-        return process
-
     def chained_nodes(self) -> dict[str, list[str]]:
         """Execution-node name -> member operator names for fused chains."""
         return {name: [op.name for op in node.operators]
@@ -325,7 +349,7 @@ class Executor:
             else:
                 self._source_buffers[name] = raw
             self._source_positions.setdefault(name, 0)
-            if self.columnar:
+            if self.batch_mode:
                 self._source_streams[name] = ColumnarStream(raw)
         return self._source_buffers[name]
 
@@ -336,7 +360,7 @@ class Executor:
                 continue
             buffer = self._materialize_source(name)
             pos = self._source_positions[name]
-            if self.columnar:
+            if self.batch_mode:
                 take = self._source_streams[name].slice(pos, pos + batch)
                 taken = min(batch, len(buffer) - pos)
             else:
@@ -372,67 +396,6 @@ class Executor:
                 )
         channel.append(item)
 
-    def _offer_batch(self, node: str, side: str | None,
-                     items: list[StreamItem]) -> None:
-        """Batch equivalent of per-item ``_offer``: identical per-item
-        accounting, computed arithmetically in O(1).
-
-        Columnar batches count element-weighted (a RecordBatch is as many
-        items as it has rows), so backpressure and drop decisions are
-        representation-blind.  The partial-extend paths (drop, raise)
-        split batches at the exact element boundary; the raise path also
-        decodes, so stalled channel *contents* match per-item execution.
-        """
-        channel = self._channels[(node, side)]
-        columnar = self.columnar
-        if columnar:
-            occupancy = items_weight(channel)
-            n = items_weight(items)
-        else:
-            occupancy = len(channel)
-            n = len(items)
-        capacity = self.channel_capacity
-        if occupancy + n <= capacity:
-            channel.extend(items)
-            return
-        if self.drop_on_overflow:
-            room = max(0, capacity - occupancy)
-            if room:
-                channel.extend(take_prefix(items, room) if columnar
-                               else items[:room])
-            self.dropped_overflow += n - room
-            if self.metrics is not None:
-                self.metrics.counter("channel.dropped",
-                                     node=node).inc(n - room)
-            return
-        if occupancy + n > capacity * 10:
-            # Mirror per-item semantics exactly: ``_offer`` appends until
-            # the channel reaches 10x capacity and raises on the item
-            # that finds it full, so ``i0`` items land and ``i0 + 1``
-            # appends observed a channel at or over capacity.  (The
-            # previous batch path counted all ``n`` items as
-            # backpressure and extended nothing — diverging from
-            # per-item execution in both the counter and the channel.)
-            i0 = capacity * 10 - occupancy
-            channel.extend(decode_items(take_prefix(items, i0)) if columnar
-                           else items[:i0])
-            events = (i0 + 1) - max(0, min(i0 + 1, capacity - occupancy))
-            self.backpressure_events += events
-            if self.metrics is not None:
-                self.metrics.counter("channel.backpressure",
-                                     node=node).inc(events)
-            raise BackpressureOverflow(
-                f"channel into {node!r} exceeded 10x capacity; "
-                "the job cannot keep up and dropping is disabled"
-            )
-        # Every append observed at >= capacity is one backpressure event.
-        events = n - max(0, min(n, capacity - occupancy))
-        self.backpressure_events += events
-        if self.metrics is not None and events:
-            self.metrics.counter("channel.backpressure",
-                                 node=node).inc(events)
-        channel.extend(items)
-
     def _route(self, node: str, items: Iterable[StreamItem]) -> None:
         """Per-item delivery from ``node`` to its downstream edges."""
         downstream = self._down.get(node, ())
@@ -454,19 +417,12 @@ class Executor:
         for down, side in self._down.get(node, ()):
             sink = self.sinks.get(down)
             if sink is not None:
-                if self.columnar:
-                    delivered = elements_of(items)
-                elif self.metrics is None:
-                    sink.elements.extend(
-                        item for item in items if isinstance(item, Element))
-                    continue
-                else:
-                    delivered = [i for i in items if isinstance(i, Element)]
+                delivered = elements_of(items)
                 sink.elements.extend(delivered)
                 if self.metrics is not None:
                     self._observe_sink_batch(down, delivered)
             else:
-                self._offer_batch(down, side, items)
+                offer_batch(self, self._channels[(down, side)], down, items)
 
     def _observe_sink(self, sink: str, element: Element) -> None:
         """Watermark-lag proxy per delivery: distance between this
@@ -546,42 +502,22 @@ class Executor:
                        if profiler is not None and not chained else 0.0)
             drained = 0
             guard = self._guard.get(name)
-            if isinstance(op, IntervalJoinOperator):
-                for side in ("left", "right"):
-                    pending = self._take_channel(name, side)
-                    if pending is None:
-                        continue
-                    if self.columnar:
-                        # Joins have no columnar kernel; decode at the
-                        # channel so side-batch processing (and chaos
-                        # interception) see plain elements.
-                        pending = decode_items(pending)
-                    moved += len(pending)
-                    drained += len(pending)
-                    if guard is None:
-                        process = (lambda batch, _s=side:
-                                   op.process_side_batch(_s, batch))
-                    else:
-                        process = self._guarded_side_process(op, guard,
-                                                             side)
-                    if injector is None:
-                        out = process(pending)
-                    else:
-                        out = injector.intercept_batch(op, pending,
-                                                       process)
-                    self._route_batch(name, out)
-            else:
-                pending = self._take_channel(name, None)
+            for side in (("left", "right")
+                         if isinstance(op, IntervalJoinOperator)
+                         else (None,)):
+                pending = self._take_channel(name, side)
                 if pending is None:
                     continue
-                weight = (items_weight(pending) if self.columnar
-                          else len(pending))
+                if side is not None:
+                    # Joins have no columnar kernel; decode at the
+                    # channel so side-batch processing (and chaos
+                    # interception) see plain elements.
+                    pending = decode_items(pending)
+                weight = items_weight(pending)
                 moved += weight
-                drained = weight
-                if guard is None:
-                    process = op.process_batch
-                else:
-                    process = self._guarded_process(op, guard)
+                drained += weight
+                process = batch_process(op, side, guard, self._dead_letters,
+                                        self._fault_source)
                 if injector is None:
                     out = process(pending)
                 else:
@@ -611,32 +547,13 @@ class Executor:
                 if pending is None:
                     continue
                 started = profiler.timer() if profiler is not None else 0.0
+                process = item_process(op, side, guard, self._dead_letters,
+                                       self._fault_source)
                 for item in pending:
                     moved += 1
                     if injector is not None:
                         injector.before_item(op)  # may raise a crash
-                    if isinstance(op, IntervalJoinOperator):
-                        if isinstance(item, Watermark):
-                            handler = (lambda it, _s=side:
-                                       op.on_watermark_side(_s, it))
-                        else:
-                            handler = (lambda it, _s=side:
-                                       op.process_side(_s, it))
-                    else:
-                        handler = None
-                    if guard is None:
-                        out = (handler(item) if handler is not None
-                               else op.handle(item))
-                    else:
-                        fault = None
-                        if self._data_chaos:
-                            faults = injector.data_directives(op, (item,))
-                            if faults:
-                                fault = faults.get(0)
-                        out = guard_item(op, item, guard,
-                                         self._dead_letters, fault,
-                                         handler=handler)
-                    self._route(name, out)
+                    self._route(name, process(item))
                 if self._dead_letters:
                     self._deliver_dead_letters()
                 if metrics is not None:

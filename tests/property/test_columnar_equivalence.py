@@ -1,14 +1,15 @@
-"""Property tests: columnar execution ≡ per-element execution.
+"""Property tests: columnar batch execution ≡ the per-item oracle.
 
 The columnar ``RecordBatch`` representation (see "Columnar batch
 representation" in docs/ARCHITECTURE.md) promises to be an *encoding*,
-not a semantic: for any job and any input stream, running with
-``columnar=True`` produces bit-identical sink contents and checkpoint
-state to ``columnar=False`` — and both match element-at-a-time
-dispatch.  These tests drive randomized streams through vectorized
-kernels, through the mixed/opaque-value fallback, through parallel
-plans with hash shuffles and the columnar source merge, and through
-rescale restores, comparing exactly every time.
+not a semantic: for any job and any input stream, batch execution
+(batched or chained) produces bit-identical sink contents and
+checkpoint state to element-at-a-time dispatch (``batch_mode=False``).
+These tests drive randomized streams through vectorized kernels,
+through the mixed/opaque-value fallback, through parallel plans with
+hash shuffles and the columnar source merge (whose lexsort fast path
+is checked against the per-item run's heap merge), and through rescale
+restores, comparing exactly every time.
 """
 
 from hypothesis import given, settings
@@ -26,10 +27,15 @@ import numpy as np
 
 MODES = {
     "per_item": dict(batch_mode=False, chaining=False),
-    "batched_plain": dict(batch_mode=True, chaining=False, columnar=False),
-    "batched_columnar": dict(batch_mode=True, chaining=False, columnar=True),
-    "chained_plain": dict(batch_mode=True, chaining=True, columnar=False),
-    "chained_columnar": dict(batch_mode=True, chaining=True, columnar=True),
+    "batched": dict(batch_mode=True, chaining=False),
+    "chained": dict(batch_mode=True, chaining=True),
+}
+#: Parallel comparisons run the batch plan unchained: per-item plans
+#: never chain, and a chained plan's routing-state node names differ,
+#: so whole checkpoints only compare equal between unchained plans.
+PARALLEL_MODES = {
+    "per_item": dict(batch_mode=False),
+    "columnar": dict(batch_mode=True, chaining=False),
 }
 PARALLELISMS = (1, 2, 4)
 N_SPLITS = 4
@@ -138,7 +144,7 @@ class TestParallelColumnar:
     def _make_job(self, rows):
         # Keyed elements with per-split-monotone timestamps: the
         # columnar source merge takes its lexsort fast path while the
-        # plain run heap-merges — outputs must still match exactly.
+        # per-item run heap-merges — outputs must still match exactly.
         elements = [Element(value=float(v), timestamp=i * 0.7, key=k)
                     for i, (k, v) in enumerate(rows)]
         builder = JobBuilder("columnar-parallel")
@@ -154,12 +160,11 @@ class TestParallelColumnar:
     def test_parallel_columnar_matches_plain(self, rows, source_batch):
         for p in PARALLELISMS:
             runs = {}
-            for columnar in (False, True):
-                executor = ParallelExecutor(self._make_job(rows), p,
-                                            columnar=columnar)
+            for mode, flags in PARALLEL_MODES.items():
+                executor = ParallelExecutor(self._make_job(rows), p, **flags)
                 executor.run(source_batch=source_batch)
-                runs[columnar] = executor
-            plain, col = runs[False], runs[True]
+                runs[mode] = executor
+            plain, col = runs["per_item"], runs["columnar"]
             assert (col.sinks["out"].elements
                     == plain.sinks["out"].elements), p
             # Keyed state is snapshotted per key group; the whole
@@ -171,12 +176,10 @@ class TestParallelColumnar:
     def test_rescale_restore_columnar(self, rows):
         expected = Executor(self._make_job(rows)).run()["out"].elements
         for old_p, new_p in ((1, 2), (1, 4), (2, 4), (4, 1)):
-            donor = ParallelExecutor(self._make_job(rows), old_p,
-                                     columnar=True)
+            donor = ParallelExecutor(self._make_job(rows), old_p)
             donor.run(source_batch=8, max_cycles=2)
             snapshot = donor.checkpoint()
-            survivor = ParallelExecutor(self._make_job(rows), new_p,
-                                        columnar=True)
+            survivor = ParallelExecutor(self._make_job(rows), new_p)
             survivor.restore(snapshot)
             survivor.run(source_batch=8)
             got = sorted(repr(e) for e in survivor.sinks["out"].elements)
@@ -202,11 +205,11 @@ class TestParallelColumnar:
 
         for p in PARALLELISMS:
             runs = {}
-            for columnar in (False, True):
-                executor = ParallelExecutor(make_job(), p,
-                                            columnar=columnar)
+            for mode, flags in PARALLEL_MODES.items():
+                executor = ParallelExecutor(make_job(), p, **flags)
                 executor.run(source_batch=16)
-                runs[columnar] = executor
-            assert (runs[True].sinks["out"].elements
-                    == runs[False].sinks["out"].elements), p
-            assert runs[True].checkpoint() == runs[False].checkpoint(), p
+                runs[mode] = executor
+            assert (runs["columnar"].sinks["out"].elements
+                    == runs["per_item"].sinks["out"].elements), p
+            assert (runs["columnar"].checkpoint()
+                    == runs["per_item"].checkpoint()), p

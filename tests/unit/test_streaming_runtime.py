@@ -7,6 +7,7 @@ from repro.streaming import (
     Element,
     Executor,
     JobBuilder,
+    ParallelExecutor,
     TumblingWindows,
     log_sink,
     log_source,
@@ -195,6 +196,46 @@ class TestLogConnectors:
         sinks = Executor(builder.build()).run()
         assert len(sinks["out"]) == 10
         assert {e.key for e in sinks["out"].elements} == {"k0", "k1", "k2"}
+
+    @pytest.mark.parametrize("time_ordered", [True, False])
+    @pytest.mark.parametrize("make_executor", [
+        Executor,
+        lambda job: ParallelExecutor(job, 1),
+        lambda job: ParallelExecutor(job, 2),
+    ], ids=["executor", "parallel_p1", "parallel_p2"])
+    def test_columnar_log_source_matches_elements(self, make_executor,
+                                                  time_ordered):
+        # A connector that hands the engine pre-encoded RecordBatches
+        # must be invisible: same sinks, same checkpoints, mid-run and
+        # at the end, as the same topic read as loose Elements.
+        cluster = LogCluster(1)
+        cluster.create_topic(TopicConfig("in", partitions=3, replication=1))
+        producer = Producer(cluster)
+        for i in range(300):
+            producer.send("in", float(i % 17) - 4.0, key=f"d{i % 5}",
+                          timestamp=i * 0.4)
+
+        def run(columnar):
+            builder = JobBuilder("j")
+            (builder.source("in", log_source(cluster, "in",
+                                             time_ordered=time_ordered,
+                                             columnar=columnar))
+                    .map(lambda v: v * 2.0, vectorized=True)
+                    .filter(lambda v: v > -6.0, vectorized=True)
+                    .with_watermarks(5.0, emit_every=8)
+                    .window(TumblingWindows(10.0), "sum", name="win")
+                    .sink("out"))
+            executor = make_executor(builder.build())
+            executor.run(source_batch=32, max_cycles=3)
+            mid = executor.checkpoint()
+            sinks = executor.run(source_batch=32)
+            return mid, sinks["out"].elements, executor.checkpoint()
+
+        mid, out, end = run(columnar=True)
+        want_mid, want_out, want_end = run(columnar=False)
+        assert out and out == want_out
+        assert mid == want_mid
+        assert end == want_end
 
     def test_log_sink_writes_topic(self):
         cluster = LogCluster(1)

@@ -19,8 +19,8 @@ The committed baseline itself is also gated when it was produced on the
 reference 100k-event workload: ``chained_eps`` must stay >= 1M and the
 modelled ``lane_overlap_p4`` > 3.2 — the columnar hot-path floors a PR
 cannot regress by committing a slower baseline.  A columnar-vs-
-per-element equivalence smoke (identical sinks and operator snapshots)
-runs in-process before any timing.
+per-item-oracle equivalence smoke (identical sinks and operator
+snapshots) runs in-process before any timing.
 
 Usage:  python tools/check_perf.py [--events N] [--tolerance 0.2]
         python tools/check_perf.py --skip-tests   # bench gate only
@@ -80,8 +80,9 @@ def check_parallel_speedup(current: dict, minimum: float,
 
 def check_columnar_equivalence(events: int = 5_000) -> bool:
     """In-process smoke: the columnar representation must be invisible —
-    identical sink contents and identical window-operator snapshots
-    against the same chained job run with ``columnar=False``."""
+    the chained columnar run must give identical sink contents and
+    identical operator snapshots to the per-item oracle (the same job
+    run element by element, ``batch_mode=False, chaining=False``)."""
     print(f"\n== columnar equivalence smoke ({events} events) ==",
           flush=True)
     ensure_paths()
@@ -90,18 +91,17 @@ def check_columnar_equivalence(events: int = 5_000) -> bool:
 
     elements = _elements(events)
     runs = {}
-    for label, columnar in (("columnar", True), ("per-element", False)):
+    for label, batch_mode in (("columnar", True), ("per-item", False)):
         job = _build_job(elements)
-        executor = Executor(job, batch_mode=True, chaining=True,
-                            columnar=columnar)
+        executor = Executor(job, batch_mode=batch_mode, chaining=batch_mode)
         sinks = executor.run(source_batch=SOURCE_BATCH)
         snapshots = {name: op.snapshot()
                      for name, op in sorted(job.operators.items())
                      if hasattr(op, "snapshot")}
         runs[label] = ([(r.key, r.window.start, r.value, r.count)
                         for r in sinks["out"].values], snapshots)
-    same_sinks = runs["columnar"][0] == runs["per-element"][0]
-    same_state = runs["columnar"][1] == runs["per-element"][1]
+    same_sinks = runs["columnar"][0] == runs["per-item"][0]
+    same_state = runs["columnar"][1] == runs["per-item"][1]
     print(f"  sinks identical: {same_sinks}   "
           f"operator snapshots identical: {same_state}")
     return same_sinks and same_state

@@ -53,12 +53,14 @@ def run_experiment():
                 .sink("out"))
         executor = Executor(builder.build())
         sinks = executor.run()
-        window_op = executor.job.operators["window_0"]
+        # the executor's clones hold the run's state, not job.operators
+        dropped_late = sum(op.dropped_late for op in
+                           executor.subtask_operators("window_0"))
         got_counts = {r.window.start: r.value
                       for r in sinks["out"].values}
         errors = [abs(got_counts.get(start, 0) - count)
                   for start, count in true_counts.items()]
-        rows.append([lateness, window_op.dropped_late,
+        rows.append([lateness, dropped_late,
                      int(np.sum(errors)),
                      float(np.mean(errors)),
                      lateness + TRUE_WINDOW])  # result delay bound

@@ -24,7 +24,6 @@ from typing import Any, Callable
 from ..streaming.element import Element
 from ..streaming.execution import ParallelExecutor
 from ..streaming.graph import JobBuilder, JobGraph
-from ..streaming.runtime import Executor
 from ..streaming.supervisor import MAX_FAILURES, CoordinatedReport, Supervisor
 from ..streaming.windows import TumblingWindows
 from ..util.errors import BrokerDown, ChaosError, DataFaultError, OperatorCrash
@@ -40,7 +39,12 @@ __all__ = ["RecoveryReport", "run_with_recovery", "reference_events",
 
 @dataclass
 class RecoveryReport:
-    """What happened during a supervised run."""
+    """What happened during a supervised run.
+
+    ``trace`` is the injector's fault trace.  The executor runs operator
+    clones at every width, so operator-site entries name the clone that
+    crashed (``window_sum[0]``), never the bare logical operator.
+    """
 
     sink_values: dict[str, list[Any]]
     crashes: int = 0
@@ -59,14 +63,16 @@ class RecoveryReport:
 
 def run_with_recovery(job: JobGraph, injector: FaultInjector | None = None,
                       *, batch_mode: bool = True, chaining: bool = True,
-                      parallelism: int | dict[str, int] | None = None,
+                      parallelism: int | dict[str, int] = 1,
                       source_batch: int = 64, tracer: Any = None,
                       metrics: Any = None, profiler: Any = None,
                       restart_budget: Any = None) -> RecoveryReport:
     """Run ``job`` to completion, checkpointing and restoring on faults.
 
     The job steps one drain cycle at a time with an aligned checkpoint
-    after each, so a restore replays at most one cycle of input.
+    after each, so a restore replays at most one cycle of input.  Each
+    checkpoint copies the sink contents so far (a restore reinstalls
+    them), which makes per-cycle checkpoints cost O(output) apiece.
 
     Catches :class:`OperatorCrash` (injected or organic operator death)
     and :class:`BrokerDown` (log-backed source hitting an unavailable
@@ -75,11 +81,11 @@ def run_with_recovery(job: JobGraph, injector: FaultInjector | None = None,
     bounds pathological plans — the deterministic schedule cannot
     re-fire a passed fault, so any finite plan terminates well below it.
 
-    ``parallelism`` (``None`` = the classic single-instance executor)
-    supervises a :class:`~repro.streaming.execution.ParallelExecutor`
-    instead: same loop, same recovery invariant, but crash sites are
-    per subtask (target ``"window_sum[1]"`` to kill one clone,
-    ``"window_sum"`` to match any of them).
+    ``parallelism`` is the width of the supervised
+    :class:`~repro.streaming.execution.ParallelExecutor` (1 by
+    default).  Crash sites are per subtask at every width: target
+    ``"window_sum[1]"`` to kill one clone, ``"window_sum"`` to match
+    any of them.
 
     ``tracer``/``metrics``/``profiler`` (duck-typed, see
     :mod:`repro.obs`) thread straight through to the executor; the
@@ -96,17 +102,10 @@ def run_with_recovery(job: JobGraph, injector: FaultInjector | None = None,
     checkpoint) — the supervisor then terminates instead of masking a
     permanently poisoned job.
     """
-    if parallelism is None:
-        executor: Any = Executor(job, batch_mode=batch_mode,
-                                 chaining=chaining, injector=injector,
-                                 tracer=tracer, metrics=metrics,
-                                 profiler=profiler)
-    else:
-        executor = ParallelExecutor(job, parallelism,
-                                    batch_mode=batch_mode,
-                                    chaining=chaining, injector=injector,
-                                    tracer=tracer, metrics=metrics,
-                                    profiler=profiler)
+    executor = ParallelExecutor(job, parallelism, batch_mode=batch_mode,
+                                chaining=chaining, injector=injector,
+                                tracer=tracer, metrics=metrics,
+                                profiler=profiler)
     report = RecoveryReport(sink_values={})
     supervised = (tracer.start_span(f"supervised:{job.name}")
                   if tracer is not None else None)
@@ -370,15 +369,10 @@ def two_region_job(events_a: Any, events_b: Any,
 def fault_free_sinks(build: Callable[[], JobGraph], *,
                      batch_mode: bool = True,
                      chaining: bool = True,
-                     parallelism: int | dict[str, int] | None = None,
+                     parallelism: int | dict[str, int] = 1,
                      source_batch: int = 64) -> dict[str, list[Any]]:
     """The golden run: same job, no injector, straight execution."""
-    if parallelism is None:
-        executor: Any = Executor(build(), batch_mode=batch_mode,
-                                 chaining=chaining)
-    else:
-        executor = ParallelExecutor(build(), parallelism,
-                                    batch_mode=batch_mode,
-                                    chaining=chaining)
+    executor = ParallelExecutor(build(), parallelism, batch_mode=batch_mode,
+                                chaining=chaining)
     sinks = executor.run(source_batch=source_batch)
     return {name: list(buf.values) for name, buf in sinks.items()}

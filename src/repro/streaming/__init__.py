@@ -58,7 +58,7 @@ from .operators import (
     TimestampAssigner,
     WatermarkGenerator,
 )
-from .runtime import Checkpoint, Executor, SinkBuffer, build_chains
+from .runtime import Executor, SinkBuffer, build_chains
 from .shuffle import (
     DEFAULT_KEY_GROUPS,
     key_group_for,
@@ -126,7 +126,6 @@ __all__ = [
     "JobGraph",
     "SourceSpec",
     "Executor",
-    "Checkpoint",
     "SinkBuffer",
     "build_chains",
     "ExecutionGraph",

@@ -344,6 +344,15 @@ class ColumnarStream:
     def __len__(self) -> int:
         return self.total
 
+    def as_batch(self) -> RecordBatch | None:
+        """The whole stream as one batch, or None when it holds markers
+        (or is empty)."""
+        if len(self._segments) == 1:
+            item = self._segments[0][1]
+            if type(item) is RecordBatch:
+                return item
+        return None
+
     def slice(self, pos: int, limit: int) -> list:
         """Items covering element positions [pos, min(limit, total))."""
         end = min(limit, self.total)

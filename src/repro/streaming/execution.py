@@ -1,5 +1,16 @@
 """Logical/physical plan split: the JobGraph -> ExecutionGraph compiler
-and the parallel executor.
+and the stream engine that runs it.
+
+:class:`ParallelExecutor` is the one engine.  Its ``parallelism``
+defaults to 1, and :class:`~repro.streaming.runtime.Executor` is the
+same class under the name the apps use, so ``Executor(job).run()`` is
+this engine at width 1.  Two execution modes share one semantics:
+**batch** (default; channel batches move through
+``Operator.process_batch``, linear chainable runs fuse into one
+:class:`~repro.streaming.chain.ChainedOperator` node, and sources
+encode element runs as columnar :class:`RecordBatch` runs) and
+**per-item** (``batch_mode=False``; element-at-a-time dispatch, the
+semantic reference every batch path must match bit for bit).
 
 A :class:`~repro.streaming.graph.JobGraph` is *logical*: it names
 operators and edges, not instances.  :func:`compile_execution_graph`
@@ -20,12 +31,11 @@ partitions) range-assigned to source subtasks — eventlog-backed sources
 map partitions to splits through consumer groups
 (:func:`~repro.streaming.connectors.parallel_log_source`).
 
-Execution stays single-threaded and deterministic, like
-:class:`~repro.streaming.runtime.Executor`: subtasks are *modelled*
-concurrency.  Each subtask index is a worker lane; per-cycle lane busy
-time is measured and the **modelled makespan** (sum over cycles of the
-slowest lane) is what the parallel benchmarks report as speedup, while
-semantics remain bit-reproducible.
+Execution is single-threaded and deterministic: subtasks are
+*modelled* concurrency.  Each subtask index is a worker lane; per-cycle
+lane busy time is measured and the **modelled makespan** (sum over
+cycles of the slowest lane) is what the parallel benchmarks report as
+speedup, while semantics remain bit-reproducible.
 
 Multi-input subtasks align watermarks per input channel (the minimum
 across channels is forwarded — Flink's watermark valve), so a keyed
@@ -39,14 +49,18 @@ merges conservatively (watermarks regress to the minimum).  At
 unchanged parallelism a restore is exact — the chaos suite's
 recovered-sinks-equal-fault-free invariant holds bit-for-bit.
 
-Parallelism 1 compiles to the same plan shape as the single-instance
-executor (same chains, all-forward edges) and produces identical sinks.
+Width 1 costs no more than a single-instance engine would: a source
+with one split is read in order without hashing a key (pre-encoded
+connector batches splice in zero-copy, opaque values included), and a
+hash edge into one subtask skips the hash while still refusing unkeyed
+elements with the shuffle's :class:`~repro.util.errors.StreamError`.
 
 Equivalence contract (property-tested): for key-aligned sources (same
 key, same split — the default partitioner) and allowed lateness
 covering the watermark skew between subtasks (no late drops), sinks at
-any parallelism are identical to the single-instance plan *modulo
-cross-key interleaving*; per-key subsequences are bit-identical.
+any parallelism are identical to the per-item oracle at width 1
+*modulo cross-key interleaving*; per-key subsequences are
+bit-identical.
 """
 
 from __future__ import annotations
@@ -63,8 +77,8 @@ import numpy as np
 from ..util.errors import CheckpointError, JobGraphError
 from ..util.ids import split_ranges
 from .barrier import BLOCKED, COMPLETE, IGNORED, STRAGGLER, BarrierAligner
-from .batch import (RecordBatch, decode_items, elements_of, item_weight,
-                    items_weight)
+from .batch import (ColumnarStream, RecordBatch, decode_items, elements_of,
+                    item_weight, items_weight)
 from .chain import ChainedOperator
 from .element import CheckpointBarrier, Element, StreamItem, Watermark
 from .errors import DLQ_SINK, FAIL, ErrorPolicy, batch_process, item_process
@@ -345,12 +359,15 @@ class ParallelCheckpoint:
 
 
 class ParallelExecutor:
-    """Runs a physical plan: N subtasks per operator, keyed shuffles,
-    per-subtask checkpoints, deterministic single-threaded execution.
+    """Runs a physical plan: N subtasks per operator (1 by default),
+    keyed shuffles, per-subtask checkpoints, deterministic
+    single-threaded execution.
 
-    API mirrors :class:`~repro.streaming.runtime.Executor` (``run``,
-    ``checkpoint``, ``restore``, ``sinks``, ``done``), so the chaos
-    harness supervises either executor unchanged.  ``restore`` accepts
+    ``run`` / ``checkpoint`` / ``restore`` / ``sinks`` / ``done`` are
+    the surface every supervisor drives.  Operators run as clones named
+    ``op[i]`` (the job's own operators stay untouched templates): read
+    run state through :meth:`subtask_operators` /
+    :meth:`logical_counters` or a checkpoint.  ``restore`` accepts
     checkpoints taken at a *different* parallelism (rescaling).
     """
 
@@ -399,6 +416,7 @@ class ParallelExecutor:
         self._source_frontier = float("-inf")
         self._sink_frontier: dict[str, float] = {}
         self._gauge_cache: dict[str, Any] | None = None
+        self._batch_sizes: dict[tuple[str, int], Any] = {}
         self._checkpoint_seq = 0
         self._flushed = False
         self._job_span: Any = None
@@ -427,17 +445,19 @@ class ParallelExecutor:
         self._split_buffers: dict[str, dict[int, list[Element]]] = {}
         self._split_positions: dict[str, dict[int, int]] = {}
         #: columnar split encodings (one shared key dictionary per
-        #: source) and per-split "timestamps nondecreasing" flags; a
-        #: split holding markers or opaque values maps to None and the
-        #: subtask falls back to the heap merge.
-        self._split_batches: dict[str, dict[int, RecordBatch | None]] = {}
-        self._split_sorted: dict[str, dict[int, bool]] = {}
+        #: source, so merged pulls gather codes without re-encoding)
+        self._split_streams: dict[str, dict[int, ColumnarStream]] = {}
+        #: (source, split) -> "timestamps nondecreasing", computed on a
+        #: split's first multi-split merge
+        self._split_sorted: dict[tuple[str, int], bool] = {}
         #: (source, subtask) -> pre-merged pull plan (built lazily,
         #: dropped on restore — positions define the remaining suffix)
         self._merge_cache: dict[tuple[str, int], dict[str, Any]] = {}
         #: parallelism -> (key_dict, per-code subtask map) for the
         #: vectorized hash shuffle (single entry per width: bounded)
         self._hash_sub_cache: dict[int, tuple[list, np.ndarray]] = {}
+        #: last key dictionary a width-1 hash edge found None-free
+        self._keyed_kd: list | None = None
         self._finished_splits: dict[str, set[int]] = {
             name: set() for name in job.sources
         }
@@ -689,12 +709,20 @@ class ParallelExecutor:
         spec = self.job.sources[name]
         n_splits = self.graph.source_splits[name]
         buffers: dict[int, list[Element]] = {s: [] for s in range(n_splits)}
+        raw: list | None = None
         if spec.split_factory is not None:
             for s in range(n_splits):
                 # decode_items: columnar connectors may hand back
                 # RecordBatches; the canonical split buffer stays
                 # per-element so positions mean the same in every mode.
                 buffers[s] = decode_items(spec.split_factory(s, n_splits))
+        elif n_splits == 1:
+            # One split takes the whole source in order: nothing to
+            # partition, so no key is hashed.  The raw items (possibly
+            # connector-encoded RecordBatches) feed the columnar stream.
+            raw = list(spec.iterate())
+            buffers[0] = (decode_items(raw) if RecordBatch in map(type, raw)
+                          else raw)
         else:
             for i, item in enumerate(decode_items(spec.iterate())):
                 if isinstance(item, Watermark):
@@ -715,29 +743,17 @@ class ParallelExecutor:
         for s in range(n_splits):
             positions.setdefault(s, 0)
         if self.batch_mode:
-            self._columnarize_source(name, buffers)
-        return buffers
-
-    def _columnarize_source(self, name: str,
-                            buffers: dict[int, list[Element]]) -> None:
-        """Encode each split as a RecordBatch sharing one key dictionary
-        across the whole source, so a subtask merging several splits can
-        gather codes into one batch without re-encoding keys."""
-        key_index: dict = {}
-        key_dict: list = []
-        batches: dict[int, RecordBatch | None] = {}
-        sorted_flags: dict[int, bool] = {}
-        for s, buf in sorted(buffers.items()):
-            if buf and all(type(it) is Element for it in buf):
-                rb = RecordBatch.from_elements(buf, key_index, key_dict)
-                batches[s] = rb
-                ts = rb.timestamps
-                sorted_flags[s] = bool(np.all(ts[1:] >= ts[:-1]))
+            if raw is not None:
+                # Zero-copy splice of pre-encoded batches.
+                self._split_streams[name] = {0: ColumnarStream(raw)}
             else:
-                batches[s] = None
-                sorted_flags[s] = False
-        self._split_batches[name] = batches
-        self._split_sorted[name] = sorted_flags
+                # One key dictionary across the source's splits.
+                key_index: dict = {}
+                key_dict: list = []
+                self._split_streams[name] = {
+                    s: ColumnarStream(buf, key_index, key_dict)
+                    for s, buf in sorted(buffers.items())}
+        return buffers
 
     def _pull_sources(self, batch: int) -> int:
         pulled = 0
@@ -821,35 +837,28 @@ class ParallelExecutor:
     def _shed_filter(self, name: str, taken: list[StreamItem],
                      plan: tuple[int, int, int]) -> list[StreamItem]:
         keep, mod, salt = plan
+        # Progress markers (watermarks) always pass; loose elements run
+        # through the same vectorized mask as batch rows, so the shed
+        # *set* is bit-identical across modes.
+        loose = [it.timestamp for it in taken if type(it) is Element]
+        loose_kept = iter(self._shed_mask(
+            np.asarray(loose, dtype=np.float64), keep, mod, salt).tolist()
+            if loose else ())
         shed = 0
         out: list[StreamItem] = []
-        if type(taken[0]) is RecordBatch:
-            for rb in taken:
-                mask = self._shed_mask(rb.timestamps, keep, mod, salt)
+        for item in taken:
+            if type(item) is RecordBatch:
+                mask = self._shed_mask(item.timestamps, keep, mod, salt)
                 kept = int(mask.sum())
-                if kept == len(rb):
-                    out.append(rb)
-                    continue
-                shed += len(rb) - kept
-                if kept:
-                    out.append(rb.compress(mask))
-        else:
-            # Progress markers (watermarks) always pass; elements run
-            # through the same vectorized mask as the columnar path so
-            # the shed *set* is bit-identical across modes.
-            elems = [(i, it) for i, it in enumerate(taken)
-                     if type(it) is Element]
-            if not elems:
-                return taken
-            ts = np.fromiter((it.timestamp for _, it in elems),
-                             dtype=np.float64, count=len(elems))
-            mask = self._shed_mask(ts, keep, mod, salt)
-            if bool(mask.all()):
-                return taken
-            dropped = {elems[j][0] for j in range(len(elems))
-                       if not mask[j]}
-            shed = len(dropped)
-            out = [it for i, it in enumerate(taken) if i not in dropped]
+                shed += len(item) - kept
+                if kept == len(item):
+                    out.append(item)
+                elif kept:
+                    out.append(item.compress(mask))
+            elif type(item) is Element and not next(loose_kept):
+                shed += 1
+            else:
+                out.append(item)
         if shed:
             self.shed_elements += shed
             self.dropped_overflow += shed
@@ -909,7 +918,15 @@ class ParallelExecutor:
                 continue
             item = buffers[s][positions[s]]
             heapq.heappush(heap, (item.timestamp, s))
-        taken: list[StreamItem] = []
+        if len(heap) == 1:  # one live split: its order is the merge
+            s = heap[0][1]
+            pos = positions[s]
+            taken = buffers[s][pos:pos + batch]
+            positions[s] = pos + len(taken)
+            if positions[s] >= len(buffers[s]):
+                finished.add(s)
+            return taken
+        taken = []
         while heap and len(taken) < batch:
             _ts, s = heapq.heappop(heap)
             pos = positions[s]
@@ -923,43 +940,38 @@ class ParallelExecutor:
 
     def _merge_plan(self, name: str, idx: int,
                     splits: range) -> dict[str, Any] | None:
-        """Pre-merged pull plan for one source subtask: the remaining
-        suffixes of its columnar splits, globally ordered by
+        """Columnar pull plan for one source subtask.
+
+        A subtask with one live split pulls zero-copy slices of that
+        split's :class:`ColumnarStream`, whatever it holds (markers,
+        opaque values, unordered timestamps): with nothing to merge, the
+        split's own order is the heap merge's.  Several live splits are
+        pre-merged: their remaining suffixes, globally ordered by
         ``lexsort((split_id, timestamp))`` — provably the heap merge's
         order when per-split timestamps are nondecreasing (the heap pops
         by (ts, split) and per-split FIFO order is preserved by the
         stable sort).  Each pull is then a zero-copy slice.  Returns
-        None (heap fallback) when any live split holds markers, opaque
-        values, or out-of-order timestamps."""
+        None (heap fallback) when a merge would need a live split that
+        holds markers, opaque values, or out-of-order timestamps."""
         key = (name, idx)
         plan = self._merge_cache.get(key)
         if plan is not None:
             return plan
-        batches = self._split_batches.get(name)
-        if batches is None:
+        streams = self._split_streams.get(name)
+        if streams is None:
             return None
-        sorted_flags = self._split_sorted[name]
         positions = self._split_positions[name]
-        buffers = self._split_buffers[name]
-        live: list[int] = []
-        for s in splits:
-            if positions[s] >= len(buffers[s]):
-                continue
-            rb = batches.get(s)
-            if rb is None or not sorted_flags[s] \
-                    or not isinstance(rb.values, np.ndarray):
-                return None
-            live.append(s)
+        live = [s for s in splits if positions[s] < len(streams[s])]
         if len(live) == 1:
-            s = live[0]
-            rb = batches[s]
-            plan = {"merged": rb.slice(positions[s], len(rb)),
-                    "sids": None, "split": s, "cursor": 0}
+            plan = {"split": live[0]}
         elif live:
             ts_parts, val_parts, code_parts, sid_parts = [], [], [], []
             kd: list | None = None
             for s in live:
-                rb = batches[s]
+                rb = streams[s].as_batch()
+                if rb is None or not isinstance(rb.values, np.ndarray) \
+                        or not self._split_is_sorted(name, s, rb):
+                    return None
                 pos = positions[s]
                 ts_parts.append(rb.timestamps[pos:])
                 val_parts.append(rb.values[pos:])
@@ -973,50 +985,60 @@ class ParallelExecutor:
                 ts_all[order], np.concatenate(val_parts)[order],
                 py_values=True,
                 key_codes=np.concatenate(code_parts)[order], key_dict=kd)
-            plan = {"merged": merged, "sids": sid_all[order],
-                    "split": None, "cursor": 0}
+            plan = {"split": None, "merged": merged,
+                    "sids": sid_all[order], "cursor": 0,
+                    "total": len(merged)}
         else:
-            plan = {"merged": None, "sids": None, "split": None,
-                    "cursor": 0}
-        plan["total"] = 0 if plan["merged"] is None \
-            else len(plan["merged"])
+            plan = {"split": None, "merged": None, "cursor": 0, "total": 0}
         self._merge_cache[key] = plan
         return plan
 
+    def _split_is_sorted(self, name: str, split: int,
+                         rb: RecordBatch) -> bool:
+        flag = self._split_sorted.get((name, split))
+        if flag is None:
+            ts = rb.timestamps
+            flag = self._split_sorted[(name, split)] = bool(
+                np.all(ts[1:] >= ts[:-1]))
+        return flag
+
     def _take_merged_columnar(self, name: str, idx: int, splits: range,
                               batch: int) -> list | None:
-        """Columnar twin of :meth:`_take_merged`: slice the pre-merged
-        plan and advance per-split positions by how many of the pulled
-        rows each split contributed (so checkpointed offsets stay
+        """Columnar twin of :meth:`_take_merged`: slice the pull plan
+        and advance per-split positions by how many of the pulled rows
+        each split contributed (so checkpointed offsets stay
         mode-independent).  Returns None to fall back to the heap."""
         plan = self._merge_plan(name, idx, splits)
         if plan is None:
             return None
         positions = self._split_positions[name]
         finished = self._finished_splits[name]
-        buffers = self._split_buffers[name]
+        streams = self._split_streams[name]
+        s = plan["split"]
+        if s is not None:
+            stream = streams[s]
+            pos = positions[s]
+            end = min(pos + batch, len(stream))
+            positions[s] = end
+            if end >= len(stream):
+                finished.update(splits)  # the other splits were spent
+            return stream.slice(pos, end)
         cur = plan["cursor"]
         total = plan["total"]
         if cur >= total:
-            for s in splits:
-                if positions[s] >= len(buffers[s]):
-                    finished.add(s)
+            for sv in splits:
+                if positions[sv] >= len(streams[sv]):
+                    finished.add(sv)
             return []
         end = min(cur + batch, total)
         plan["cursor"] = end
         out = plan["merged"].slice(cur, end)
-        s = plan["split"]
-        if s is not None:
-            touched = [s]
-            positions[s] += end - cur
-        else:
-            counts = np.bincount(plan["sids"][cur:end],
-                                 minlength=splits.stop)
-            touched = np.flatnonzero(counts).tolist()
-            for sv in touched:
-                positions[sv] += int(counts[sv])
+        counts = np.bincount(plan["sids"][cur:end], minlength=splits.stop)
+        touched = np.flatnonzero(counts).tolist()
+        for sv in touched:
+            positions[sv] += int(counts[sv])
         for sv in (splits if end >= total else touched):
-            if positions[sv] >= len(buffers[sv]):
+            if positions[sv] >= len(streams[sv]):
                 finished.add(sv)
         return [out]
 
@@ -1172,6 +1194,14 @@ class ParallelExecutor:
                             items)
                 continue
             p_down = self.graph.nodes[edge.down].parallelism
+            if p_down == 1 and edge.mode == HASH:
+                # One receiver owns every key group: skip the hash, keep
+                # its refusal of unkeyed elements.
+                self._require_keys(items)
+                if edge.cross_region:
+                    self._charge_cross_region(edge, (0,))
+                self._offer((edge.down, 0, edge.side), (up, up_idx), items)
+                continue
             buckets: list[list[StreamItem]] = [[] for _ in range(p_down)]
             if edge.mode == HASH:
                 g = self.num_key_groups
@@ -1215,6 +1245,25 @@ class ParallelExecutor:
                 if bucket:
                     self._offer((edge.down, j, edge.side), (up, up_idx),
                                 bucket)
+
+    def _require_keys(self, items: list[StreamItem]) -> None:
+        """Raise the hash shuffle's StreamError if any element in
+        ``items`` is unkeyed (a key dictionary found None-free is
+        remembered, so a batch usually costs one identity check)."""
+        for item in items:
+            if type(item) is RecordBatch:
+                kd = item.key_dict
+                if item.key_codes is None:
+                    key_group_for(None, self.num_key_groups)
+                if kd is self._keyed_kd:
+                    continue
+                unkeyed = [i for i, k in enumerate(kd) if k is None]
+                if not unkeyed:
+                    self._keyed_kd = kd
+                elif bool(np.any(item.key_codes == unkeyed[0])):
+                    key_group_for(None, self.num_key_groups)
+            elif type(item) is Element and item.key is None:
+                key_group_for(None, self.num_key_groups)
 
     def _partition_batch(self, rb: RecordBatch, g: int, p: int,
                          buckets: list[list[StreamItem]]) -> None:
@@ -1298,17 +1347,22 @@ class ParallelExecutor:
         event time is the minimum over all its input channels, and an
         aligned watermark is delivered only when that minimum advances."""
         wms = self._channel_wm[key]
+        single = len(wms) == 1  # one input: the minimum is its watermark
+        aligned_wm = self._aligned_wm[key]
         out: list[StreamItem] = []
         for item in pending:
-            if isinstance(item, Watermark):
-                if item.timestamp > wms[sender]:
-                    wms[sender] = item.timestamp
-                    aligned = min(wms.values())
-                    if aligned > self._aligned_wm[key]:
-                        self._aligned_wm[key] = aligned
-                        out.append(Watermark(aligned))
+            if type(item) is Watermark:
+                ts = item.timestamp
+                if ts > wms[sender]:
+                    wms[sender] = ts
+                    aligned = ts if single else min(wms.values())
+                    if aligned > aligned_wm:
+                        aligned_wm = aligned
+                        out.append(item if aligned == ts
+                                   else Watermark(aligned))
             else:
                 out.append(item)
+        self._aligned_wm[key] = aligned_wm
         return out
 
     # -- drain cycles --------------------------------------------------------
@@ -1376,15 +1430,21 @@ class ParallelExecutor:
                     elapsed = time.perf_counter() - started
                     self._lane_cycle[idx] += elapsed
                     if metrics is not None:
-                        self.metrics.summary(
-                            "op.batch_size", op=f"{name}[{idx}]").observe(
-                                drained)
+                        self._batch_size_summary(name, idx).observe(drained)
                     if profiler is not None and not isinstance(
                             self._ops[name][idx], ChainedOperator):
                         profiler.record(
                             "op.wall_s", started,
                             op=self._ops[name][idx].name)
         return moved
+
+    def _batch_size_summary(self, name: str, idx: int) -> Any:
+        # Registry lookups render labelled keys; cache the handle.
+        summary = self._batch_sizes.get((name, idx))
+        if summary is None:
+            summary = self._batch_sizes[(name, idx)] = self.metrics.summary(
+                "op.batch_size", op=f"{name}[{idx}]")
+        return summary
 
     # -- coordinated draining (barrier-aware) ---------------------------------
 
@@ -1746,8 +1806,13 @@ class ParallelExecutor:
                 scalar_state[m] = [c.snapshot() for c in clones]
         source_positions: dict[str, dict[int, int]] = {}
         for name in self.job.sources:
-            self._materialize_source(name)
-            source_positions[name] = dict(self._split_positions[name])
+            # An unread source snapshots at position 0 without being
+            # read, so a checkpoint before the first pull is a valid
+            # restart-from-scratch point even while the source's log
+            # is unavailable.
+            source_positions[name] = dict(self._split_positions.get(
+                name, dict.fromkeys(range(self.graph.source_splits[name]),
+                                    0)))
             parallelism[name] = self.graph.source_parallelism[name]
         snapshot = ParallelCheckpoint(
             checkpoint_id=self._checkpoint_seq,
@@ -2080,14 +2145,15 @@ class ParallelExecutor:
         self._job_span.set_attr("backpressure_events",
                                 self.backpressure_events)
         self._job_span.set_attr("dropped_overflow", self.dropped_overflow)
-        self._job_span.set_attr("modeled_makespan_s",
-                                self.modeled_makespan_s)
         self._job_span.end()
 
     def _publish_metrics(self) -> None:
         """Publish executor/operator/sink gauges.  Called every macro
         cycle (live refresh) and at end-of-run; handles are cached so
-        the per-cycle cost is attribute sets, not label rendering."""
+        the per-cycle cost is attribute sets, not label rendering.
+        Only deterministic counts go out: the wall-clock lane times stay
+        on the executor (``modeled_makespan_s``), so a run's metrics and
+        spans reproduce exactly."""
         if self.metrics is None:
             return
         cache = self._gauge_cache
@@ -2097,8 +2163,6 @@ class ParallelExecutor:
                 "backpressure": m.gauge("executor.backpressure_events"),
                 "dropped": m.gauge("executor.dropped_overflow"),
                 "shed": m.gauge("executor.shed_elements"),
-                "makespan": m.gauge("executor.modeled_makespan_s"),
-                "busy": m.gauge("executor.serial_busy_s"),
                 "ops": [
                     (m.gauge("op.processed", op=name),
                      m.gauge("op.emitted", op=name),
@@ -2115,8 +2179,6 @@ class ParallelExecutor:
         cache["backpressure"].set(self.backpressure_events)
         cache["dropped"].set(self.dropped_overflow)
         cache["shed"].set(self.shed_elements)
-        cache["makespan"].set(self.modeled_makespan_s)
-        cache["busy"].set(self.serial_busy_s)
         for g_processed, g_emitted, clones in cache["ops"]:
             processed = emitted = 0
             for clone, g_sub in clones:

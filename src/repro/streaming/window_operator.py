@@ -64,6 +64,11 @@ class _Agg:
         self.merge = merge
         self.result = result
 
+    def __deepcopy__(self, memo: dict) -> "_Agg":
+        # Stateless: operator clones share it, so the window kernel's
+        # ``agg is aggregators[...]`` fast-path checks hold for clones.
+        return self
+
 
 def _exact_add(partials: list, x: float) -> list:
     """Shewchuk's grow-partials step: fold ``x`` into a list of

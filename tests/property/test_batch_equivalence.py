@@ -51,8 +51,9 @@ def _assert_identical(executors):
             assert other.sinks[name].elements == sink.elements, (mode, name)
         ckpt = other.checkpoint()
         assert ckpt.source_positions == base_ckpt.source_positions, mode
-        assert ckpt.operator_state == base_ckpt.operator_state, mode
-        assert ckpt.emitted_to_sinks == base_ckpt.emitted_to_sinks, mode
+        assert ckpt.keyed_state == base_ckpt.keyed_state, mode
+        assert ckpt.scalar_state == base_ckpt.scalar_state, mode
+        assert ckpt.sink_elements == base_ckpt.sink_elements, mode
 
 
 class TestWindowedEquivalence:
@@ -196,13 +197,12 @@ class TestCheckpointPortability:
         checkpoint = donor.checkpoint()
 
         # Restore into a *fresh per-item* executor over the same logical
-        # job; replay must land on the same sink contents.
+        # job (the checkpoint carries the sink prefix); replay must land
+        # on the same sink contents.
         survivor = Executor(make_builder().build(), batch_mode=False)
-        # Align the survivor's sink length with the snapshot's truncation
-        # point by replaying the donor's sink prefix.
-        survivor.sinks["out"].elements.extend(
-            donor.sinks["out"].elements[:checkpoint.emitted_to_sinks["out"]])
         survivor.restore(checkpoint)
+        assert survivor.sinks["out"].elements == \
+            expected[:len(checkpoint.sink_elements["out"])]
         assert survivor.run()["out"].elements == expected
 
     @given(stream_strategy, st.integers(min_value=1, max_value=6))

@@ -154,14 +154,17 @@ class TestMidBatchCrashRestore:
         except OperatorCrash:
             pass
         assert checkpoint is not None
-        already_emitted = checkpoint.emitted_to_sinks["out"]
+        already_emitted = len(checkpoint.sink_elements["out"])
         fresh = Executor(self._build(elements),
                          batch_mode=restore_batch_mode,
                          chaining=restore_chaining)
         fresh.restore(checkpoint)
+        # The restore installs the checkpoint's sink prefix; the fresh
+        # run then emits exactly what the crashed run had not yet
+        # delivered — sink emission order is deterministic and
+        # mode-independent (the batched-equivalence guarantee), so
+        # prefix and suffix match positionally.
+        assert emitted(fresh.sinks["out"].values) == \
+            straight[:already_emitted]
         suffix = emitted(fresh.run(source_batch=16)["out"].values)
-        # The fresh executor's sinks start empty, so it emits exactly
-        # what the crashed run had not yet delivered — sink emission
-        # order is deterministic and mode-independent (the batched-
-        # equivalence guarantee), so the suffix matches positionally.
-        assert suffix == straight[already_emitted:]
+        assert suffix[already_emitted:] == straight[already_emitted:]

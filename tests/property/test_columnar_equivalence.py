@@ -78,8 +78,9 @@ def _assert_identical(executors):
             assert other.sinks[name].elements == sink.elements, (mode, name)
         ckpt = other.checkpoint()
         assert ckpt.source_positions == base_ckpt.source_positions, mode
-        assert ckpt.operator_state == base_ckpt.operator_state, mode
-        assert ckpt.emitted_to_sinks == base_ckpt.emitted_to_sinks, mode
+        assert ckpt.keyed_state == base_ckpt.keyed_state, mode
+        assert ckpt.scalar_state == base_ckpt.scalar_state, mode
+        assert ckpt.sink_elements == base_ckpt.sink_elements, mode
 
 
 class TestColumnarKernels:

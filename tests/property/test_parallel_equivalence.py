@@ -1,13 +1,14 @@
-"""Property tests: parallel execution ≡ single-instance execution.
+"""Property tests: parallel execution ≡ the per-item oracle.
 
 The logical -> physical compiler promises that parallelism is a pure
 deployment knob: with a key-aligned source (same key -> same split),
-sinks at parallelism N are bit-identical to the single-instance run for
-every execution mode — only cross-key emission order is unguaranteed,
-so comparisons canonicalize by sorting reprs (exact float bits, order
-normalized).  Rescaling strengthens it: a checkpoint taken at
-parallelism A restored at parallelism B must land on the same sinks as
-a run that was never interrupted.
+sinks at parallelism N are bit-identical to the per-item oracle (width
+1, element-at-a-time dispatch) for every execution mode — only
+cross-key emission order is unguaranteed, so comparisons canonicalize
+by sorting reprs (exact float bits, order normalized).  Rescaling
+strengthens it: a checkpoint taken at parallelism A restored at
+parallelism B must land on the same sinks as a run that was never
+interrupted.
 
 Unkeyed sources round-robin across splits, which reorders same-key
 float accumulation; there equality holds only up to float rounding —
@@ -52,8 +53,13 @@ def _canon(sink_values):
     return sorted(repr(v) for v in sink_values)
 
 
+def oracle(job):
+    """The per-item oracle: width 1, element-at-a-time dispatch."""
+    return Executor(job, batch_mode=False).run()["out"].values
+
+
 def _assert_parallel_matches(make_job, source_batch=16):
-    expected = _canon(Executor(make_job()).run()["out"].values)
+    expected = _canon(oracle(make_job()))
     for mode, flags in MODES.items():
         for p in PARALLELISMS:
             executor = ParallelExecutor(make_job(), p, **flags)
@@ -126,7 +132,7 @@ class TestRescaling:
     @given(keyed_rows)
     @settings(max_examples=10, deadline=None)
     def test_rescale_matches_uninterrupted(self, rows):
-        expected = _canon(Executor(self._make_job(rows)).run()["out"].values)
+        expected = _canon(oracle(self._make_job(rows)))
         for old_p, new_p in ((2, 4), (4, 2), (1, 4), (4, 1)):
             donor = ParallelExecutor(self._make_job(rows), old_p)
             donor.run(source_batch=8, max_cycles=2)
@@ -179,7 +185,7 @@ class TestUnkeyedRoundRobin:
             return sorted((r.key, r.window.start, round(float(r.value), 6),
                            r.count) for r in values)
 
-        expected = rounded(Executor(make_job()).run()["out"].values)
+        expected = rounded(oracle(make_job()))
         for p in PARALLELISMS:
             executor = ParallelExecutor(make_job(), p)
             executor.run(source_batch=16)

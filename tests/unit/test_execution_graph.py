@@ -8,11 +8,12 @@ from repro.streaming import (
     JobBuilder,
     ParallelExecutor,
     TumblingWindows,
+    build_chains,
     compile_execution_graph,
 )
 from repro.streaming.execution import FORWARD, HASH, MERGE, REBALANCE
 from repro.streaming.graph import JobGraph
-from repro.util.errors import CheckpointError, JobGraphError
+from repro.util.errors import CheckpointError, JobGraphError, StreamError
 
 
 def _els(n, key_mod=4):
@@ -35,16 +36,14 @@ class TestCompile:
     def test_p1_fuses_same_chains_as_executor(self):
         job = _windowed_job()
         graph = compile_execution_graph(job, 1)
-        executor = Executor(_windowed_job())
-        # The p=1 physical plan has the same fusion structure as the
-        # single-instance runtime: stateless ops fuse, the keyed window
-        # stays a chain break.
+        # At p=1 the parallelism gate never blocks a fusion: the plan
+        # fuses exactly the runs the bare fusion rule finds (stateless
+        # ops fuse, the keyed window stays a chain break).
         chain_members = {tuple(n.members) for n in graph.nodes.values()
                          if len(n.members) > 1}
-        runtime_chains = {tuple(c.member_names)
-                          for c in executor._exec_ops.values()
-                          if hasattr(c, "member_names")}
-        assert chain_members == runtime_chains
+        rule_chains = {tuple(m) for m in build_chains(job).values()}
+        assert chain_members == rule_chains \
+            == {("watermarks_0", "scale", "keep")}
         assert all(n.parallelism == 1 for n in graph.nodes.values())
 
     def test_edge_modes(self):
@@ -141,8 +140,29 @@ class TestGraphValidation:
 
 
 class TestParallelExecutor:
+    @pytest.mark.parametrize("batch_mode", [False, True])
+    @pytest.mark.parametrize("keys", [("a", None, "b"), (None, None, None)])
+    def test_unkeyed_element_on_width1_hash_edge_raises(self, batch_mode,
+                                                        keys):
+        # Width 1 routes a hash edge without hashing; an unkeyed element
+        # must still be refused exactly as the shuffle refuses it.
+        elements = [Element(float(i), float(i), key=k)
+                    for i, k in enumerate(keys)]
+        builder = JobBuilder("j")
+        (builder.source("s", elements)
+                .map(lambda v: v + 1.0, name="bump")
+                .window(TumblingWindows(10.0), "sum", name="win")
+                .sink("out"))
+        executor = ParallelExecutor(builder.build(), 1,
+                                    batch_mode=batch_mode)
+        assert {(e.up, e.down): e.mode
+                for e in executor.graph.edges}[("bump", "win")] == HASH
+        with pytest.raises(StreamError, match="unkeyed"):
+            executor.run()
+
     def test_p1_matches_single_instance(self):
-        expected = Executor(_windowed_job()).run()["out"]
+        # Reference: the per-item oracle (element-at-a-time dispatch).
+        expected = Executor(_windowed_job(), batch_mode=False).run()["out"]
         executor = ParallelExecutor(_windowed_job(), 1)
         executor.run()
         got = executor.sinks["out"]

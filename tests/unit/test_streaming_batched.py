@@ -35,6 +35,13 @@ MODES = {
 }
 
 
+def chained_nodes(executor):
+    """Fused execution nodes of the executor's plan -> member names."""
+    return {node.name: node.members
+            for node in executor.graph.nodes.values()
+            if len(node.members) > 1}
+
+
 def run_all_modes(make_builder, **executor_kwargs):
     """Build the same job per mode (fresh operator state) and run it."""
     out = {}
@@ -58,7 +65,7 @@ class TestChainPlan:
 
     def test_linear_run_fuses_into_one_node(self):
         executor = Executor(self._linear().build())
-        chains = executor.chained_nodes()
+        chains = chained_nodes(executor)
         assert len(chains) == 1
         (members,) = chains.values()
         assert members == ["map_0", "filter_0", "map_1"]
@@ -67,12 +74,12 @@ class TestChainPlan:
 
     def test_chaining_disabled_keeps_channels(self):
         executor = Executor(self._linear().build(), chaining=False)
-        assert executor.chained_nodes() == {}
+        assert chained_nodes(executor) == {}
         assert len(executor._channels) == 3
 
     def test_per_item_mode_never_chains(self):
         executor = Executor(self._linear().build(), batch_mode=False)
-        assert executor.chained_nodes() == {}
+        assert chained_nodes(executor) == {}
 
     def test_keyed_state_breaks_chain(self):
         builder = JobBuilder("j")
@@ -83,12 +90,12 @@ class TestChainPlan:
                 .map(lambda v: v["v"])
                 .sink("out"))
         executor = Executor(builder.build())
-        chains = executor.chained_nodes()
+        chains = chained_nodes(executor)
         # map+key_by fuse; reduce stays alone; the tail map has no
         # chainable neighbour.
         assert list(chains.values()) == [["map_0", "key_by_0"]]
-        assert "reduce_0" in executor._exec_ops
-        assert "map_1" in executor._exec_ops
+        assert "reduce_0" in executor.graph.nodes
+        assert "map_1" in executor.graph.nodes
 
     def test_fanout_breaks_chain(self):
         builder = JobBuilder("j")
@@ -97,7 +104,7 @@ class TestChainPlan:
         handle.map(lambda v: v - 1, name="b").sink("out_b")
         executor = Executor(builder.build())
         # m has two downstreams -> no fusion anywhere.
-        assert executor.chained_nodes() == {}
+        assert chained_nodes(executor) == {}
         sinks = executor.run()
         assert len(sinks["out_a"]) == 10
         assert len(sinks["out_b"]) == 10
@@ -110,9 +117,9 @@ class TestChainPlan:
         executor = Executor(builder.build())
         # The side-tagged join edges are unfusible, and each key_by has
         # no chainable neighbour left — nothing fuses at all.
-        assert executor.chained_nodes() == {}
-        assert ("join_0", "left") in executor._channels
-        assert ("join_0", "right") in executor._channels
+        assert chained_nodes(executor) == {}
+        assert ("join_0", 0, "left") in executor._channels
+        assert ("join_0", 0, "right") in executor._channels
 
 
 class TestChainedOperator:
@@ -184,10 +191,13 @@ class TestModeEquivalence:
         per_item = runs["per_item"][0]
         for mode in ("batched", "chained"):
             executor = runs[mode][0]
-            for name, op in executor.job.operators.items():
-                ref = per_item.job.operators[name]
-                assert (op.processed, op.emitted) == \
-                       (ref.processed, ref.emitted), (mode, name)
+            for name in executor.job.operators:
+                # The executor runs clones of the job's operators: read
+                # its counters, not the untouched templates.
+                counters = executor.logical_counters(name)
+                assert counters[0] > 0, (mode, name)
+                assert counters == per_item.logical_counters(name), \
+                    (mode, name)
 
     def test_overflow_drop_accounting_identical(self):
         def make_builder():

@@ -12,7 +12,7 @@ from repro.streaming import (
     log_sink,
     log_source,
 )
-from repro.util.errors import CheckpointError, JobGraphError
+from repro.util.errors import BrokerDown, CheckpointError, JobGraphError
 
 
 def _els(n, key_mod=2):
@@ -168,6 +168,27 @@ class TestCheckpoint:
         replayed = [v["v"] for v in executor2.run()["out"].values]
         assert replayed == full
 
+    def test_checkpoint_before_first_pull_reads_no_source(self):
+        # Checkpoint zero must not touch the source: its log may be
+        # down, and positions 0 are known without reading it.
+        down = {"left": 1}
+
+        def flaky():
+            if down["left"]:
+                down["left"] -= 1
+                raise BrokerDown("log unavailable")
+            return iter(_els(20))
+
+        builder = JobBuilder("j")
+        builder.source("s", flaky, splits=2).map(lambda v: v).sink("out")
+        executor = Executor(builder.build())
+        checkpoint = executor.checkpoint()
+        assert checkpoint.source_positions == {"s": {0: 0, 1: 0}}
+        with pytest.raises(BrokerDown):
+            executor.run()
+        executor.restore(checkpoint)
+        assert len(executor.run()["out"]) == 20
+
     def test_checkpoint_with_inflight_rejected(self):
         builder = JobBuilder("j")
         (builder.source("s", _els(50))
@@ -177,8 +198,8 @@ class TestCheckpoint:
         executor = Executor(builder.build())
         # Manually stuff a channel to simulate in-flight data (the two
         # maps fuse under chaining, so grab whatever channel exists).
-        channel = next(iter(executor._channels.values()))
-        channel.append(Element(value=1, timestamp=0.0))
+        senders = next(iter(executor._channels.values()))
+        next(iter(senders.values())).append(Element(value=1, timestamp=0.0))
         with pytest.raises(CheckpointError):
             executor.checkpoint()
 

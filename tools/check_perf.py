@@ -95,9 +95,11 @@ def check_columnar_equivalence(events: int = 5_000) -> bool:
         job = _build_job(elements)
         executor = Executor(job, batch_mode=batch_mode, chaining=batch_mode)
         sinks = executor.run(source_batch=SOURCE_BATCH)
-        snapshots = {name: op.snapshot()
-                     for name, op in sorted(job.operators.items())
-                     if hasattr(op, "snapshot")}
+        # The executor runs clones of the job's operators: snapshot
+        # those, not the untouched templates in ``job.operators``.
+        snapshots = {name: [op.snapshot()
+                            for op in executor.subtask_operators(name)]
+                     for name in sorted(job.operators)}
         runs[label] = ([(r.key, r.window.start, r.value, r.count)
                         for r in sinks["out"].values], snapshots)
     same_sinks = runs["columnar"][0] == runs["per-item"][0]
